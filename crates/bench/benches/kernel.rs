@@ -1,8 +1,9 @@
 //! DES-kernel microbenchmarks (`cargo bench --bench kernel`): event-queue
 //! push/pop throughput plus a full fig7-scale simulation, exercising the
-//! hot paths the runner leans on (`with_capacity` pre-sizing, the cached
-//! O(1) `peek_time` head, the `pop_if_at` same-timestamp burst drain,
-//! scratch-buffer reuse in the event loop).
+//! hot paths the runner leans on (`with_capacity` pre-sizing, the O(1)
+//! `peek_time` head, the `pop_if_at` same-timestamp burst drain, the sorted
+//! day rung under dense distinct timestamps, scratch-buffer reuse in the
+//! event loop).
 //! Self-contained `Instant`-based harness — no external benchmarking crate.
 
 use std::hint::black_box;
@@ -105,6 +106,26 @@ fn main() {
             while let Some(v) = q.pop_if_at(t) {
                 acc = acc.wrapping_add(v);
             }
+        }
+        acc
+    });
+
+    // Dense distinct timestamps: picosecond-granular arrivals over a
+    // sliding 50 ns window (a jittered fabric), so each 4.096 ns calendar
+    // day holds dozens of distinct timestamps and every served event
+    // schedules its successor inside the window, often into the day being
+    // drained.
+    bench("queue/dense_distinct_100k", 10, || {
+        let mut rng = DetRng::new(0xD15);
+        let mut q = EventQueue::with_capacity(1024);
+        for i in 0..1024 {
+            q.push(Time::from_ps(rng.range_u64(0..50_000)), i);
+        }
+        let mut acc = 0usize;
+        for _ in 0..N {
+            let (t, v) = q.pop().expect("the window never empties");
+            acc = acc.wrapping_add(v);
+            q.push(t + Time::from_ps(rng.range_u64(0..50_000)), v);
         }
         acc
     });

@@ -86,8 +86,13 @@ impl<E: Ord> RefQueue<E> {
 
 /// The calendar queue dequeues in exactly the reference heap's tie-break
 /// order on randomized interleaved push/pop workloads, including far-future
-/// timers (overflow rung), same-time bursts (cohort staging), mid-drain
-/// pushes, `pop_if_at` probes, and calendar growth.
+/// timers (overflow rung), same-time bursts, mid-drain pushes, `pop_if_at`
+/// probes, and calendar growth. Three classes target the sorted day rung:
+/// picosecond-granular jitter within 50 ns (dozens of distinct timestamps
+/// per 4.096 ns day, with pushes landing in the day being drained),
+/// RTO-backoff timers from 1.5 to 96 µs, and — in every fourth case — a
+/// 4,096-event same-time burst at t=0 before the first pop (the shape of a
+/// freshly built system scheduling every core's first step).
 #[test]
 fn calendar_queue_matches_reference_heap_order() {
     for case in 0..CASES {
@@ -97,16 +102,25 @@ fn calendar_queue_matches_reference_heap_order() {
         let ops = rng.range_usize(50..3000);
         let mut now = 0u64; // ps
         let mut pushed = 0u64;
+        if case % 4 == 0 {
+            for _ in 0..4096 {
+                q.push(Time::ZERO, pushed);
+                r.push(Time::ZERO, pushed);
+                pushed += 1;
+            }
+        }
         for _ in 0..ops {
             let roll = rng.unit_f64();
             if roll < 0.55 {
                 // Mixed scales: sub-ns cycles, mesh hops, fabric latencies,
                 // and occasional RTO-scale far-future timers.
-                let delta = match rng.range_u64(0..10) {
+                let delta = match rng.range_u64(0..14) {
                     0..=3 => rng.range_u64(0..2_000),
                     4..=6 => rng.range_u64(0..150_000),
                     7..=8 => 0, // same-instant burst
-                    _ => rng.range_u64(1_000_000..100_000_000),
+                    9 => rng.range_u64(1_000_000..100_000_000),
+                    10..=12 => rng.range_u64(0..50_000), // fabric jitter
+                    _ => 1_500_000 << rng.range_u64(0..7), // RTO backoff
                 };
                 let at = Time::from_ps(now + delta);
                 q.push(at, pushed);
