@@ -12,7 +12,9 @@
 //! abstract-model crash on capacity-1 directory tables the day it was
 //! written.
 
+use cord_repro::cord::System;
 use cord_repro::cord_fuzz::{parse, run_scenario};
+use cord_repro::cord_sim::obs::render_flight;
 
 /// One test for the whole corpus: the oracles read `CORD_FAULTS`-adjacent
 /// process state, so replays must not race sibling tests.
@@ -65,4 +67,50 @@ fn every_committed_repro_still_reproduces() {
             "{name}: serialization is not canonical"
         );
     }
+}
+
+/// Pins the complete failure text of two monolithic runs: the `RunError`
+/// display (verdict line plus narrative) and the header of the flight dump
+/// each would write. One repro trips the liveness watchdog, the other the
+/// event cap. Re-record with `CORD_UPDATE_GOLDEN=1` after an intentional
+/// change to the narrative.
+#[test]
+fn failure_text_matches_golden() {
+    std::env::remove_var("CORD_FAULTS");
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut got = String::new();
+    for name in ["cord_notify_drop_hang.repro", "cord_event_cap.repro"] {
+        let text = std::fs::read_to_string(root.join("tests/repros").join(name)).unwrap();
+        let s = parse(&text)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .scenario;
+        let cfg = s.config();
+        let programs = s.programs(&cfg);
+        let mut sys = System::new(cfg, programs);
+        sys.set_sim_threads(None);
+        sys.set_max_events(s.max_events);
+        if let Some(spec) = &s.faults {
+            sys.set_fault_spec(spec).expect("repro spec parses");
+        }
+        sys.tracer_mut().arm_flight(64);
+        let err = sys.try_run().expect_err("repro must fail").to_string();
+        let dump = render_flight(&err, &sys.take_flight_rings());
+        got.push_str(&format!("== {name}\n{err}\n-- flight header\n"));
+        for line in dump.lines().take_while(|l| l.starts_with('#')) {
+            got.push_str(line);
+            got.push('\n');
+        }
+    }
+    let path = root.join("tests/golden/failure_text.txt");
+    if std::env::var_os("CORD_UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &got).expect("write golden");
+        return;
+    }
+    let want =
+        std::fs::read_to_string(&path).expect("golden file (CORD_UPDATE_GOLDEN=1 to create)");
+    assert_eq!(
+        want, got,
+        "failure text drifted from tests/golden/failure_text.txt \
+         (CORD_UPDATE_GOLDEN=1 to re-record)"
+    );
 }
