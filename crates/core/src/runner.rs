@@ -26,6 +26,7 @@ use cord_sim::{EventQueue, Time};
 
 use crate::any::{AnyCore, AnyDir};
 use crate::frontend::{FeAction, Frontend};
+use crate::shard::LoopState;
 
 /// Events driving the simulation.
 #[derive(Debug)]
@@ -169,6 +170,27 @@ impl Wire {
             Wire::Deliver(m) | Wire::DeliverSeq { msg: m, .. } => m.dst.tile_flat(),
             // Acks travel back to the original sender's tile.
             Wire::XportAck { src, .. } => *src,
+        }
+    }
+
+    /// The event that delivers this wire at its destination.
+    fn into_event(self) -> Event {
+        match self {
+            Wire::Deliver(msg) => Event::Deliver(msg),
+            Wire::DeliverSeq { msg, sess, seq } => Event::DeliverSeq { msg, sess, seq },
+            Wire::XportAck {
+                src,
+                dst,
+                sess,
+                seq,
+                dup,
+            } => Event::XportAck {
+                src,
+                dst,
+                sess,
+                seq,
+                dup,
+            },
         }
     }
 }
@@ -423,8 +445,9 @@ pub struct System {
     /// Wall-clock self-profiler (`CORD_PROFILE` or
     /// [`System::set_profiling`]).
     pub(crate) profiler: Option<Box<Profiler>>,
-    /// Flight rings recovered from partitions after a failed sharded run,
-    /// held for the post-mortem dump and programmatic access
+    /// Flight rings taken from the systems that executed the last run (the
+    /// partitions of a sharded run, or this system as partition 0), held for
+    /// the post-mortem dump and programmatic access
     /// ([`System::take_flight_rings`]).
     pub(crate) flight_rings: Vec<(u32, RingSink)>,
     /// Per-host count of directory crashes already injected (the `gen`
@@ -679,88 +702,18 @@ impl System {
         res
     }
 
-    /// The classic single-queue event loop.
+    /// The classic single-queue engine: the partition loop over the whole
+    /// system with an open horizon.
     fn run_monolithic(&mut self) -> Result<RunResult, RunError> {
         self.schedule_crashes(None);
-        let mut events = 0u64;
-        let mut drained = Time::ZERO;
-        // Watchdog state: last fingerprint and when it last changed.
-        let mut wd_fp = self.progress_fingerprint();
-        let mut wd_since = Time::ZERO;
-        let profiling = self.profiler.is_some();
-        let mut pending = self.queue.pop();
-        while let Some((now, ev)) = pending {
-            events += 1;
-            if events > self.max_events {
-                return Err(RunError::EventCap { events });
-            }
-            // Amortized liveness check: the fingerprint walk is O(cores),
-            // so only look every 4096 events (bounded relative overhead).
-            if events & 0xFFF == 0 {
-                if let Some(window) = self.watchdog {
-                    let fp = self.progress_fingerprint();
-                    if fp != wd_fp {
-                        wd_fp = fp;
-                        wd_since = now;
-                    } else if now > wd_since + window {
-                        if let Some(c) = self.engines.iter().position(AnyCore::recovering) {
-                            return Err(RunError::Unrecovered {
-                                core: self.tile_base + c as u32,
-                                since: wd_since,
-                                narrative: self.narrate_hang(),
-                            });
-                        }
-                        return Err(RunError::NoProgress {
-                            since: wd_since,
-                            now,
-                            window,
-                            narrative: self.narrate_hang(),
-                        });
-                    }
-                }
-            }
-            // Sim-time sampling: one snapshot per crossed grid boundary,
-            // taken before the event dispatch so the sampled state is the
-            // deterministic pre-dispatch state.
-            if let Some(s) = self.sampler.as_deref() {
-                if s.due(now.as_ps()) {
-                    self.take_sample(now);
-                }
-            }
-            drained = now;
-            let prof_label = profiling.then(|| ev.kind_label());
-            let prof_t0 = profiling.then(std::time::Instant::now);
-            self.handle_event(now, ev);
-            if let (Some(label), Some(t0)) = (prof_label, prof_t0) {
-                let ns = t0.elapsed().as_nanos() as u64;
-                self.profiler
-                    .as_mut()
-                    .expect("profiling flag implies profiler")
-                    .add_class(label, ns);
-            }
-            // Cycle-accurate fabrics land bursts of deliveries on one
-            // timestamp; drain the burst through the cached-head fast path
-            // before paying a full pop for the next timestamp.
-            pending = match self.queue.pop_if_at(now) {
-                Some(ev) => Some((now, ev)),
-                None => self.queue.pop(),
-            };
-        }
-        // O(1) quiescence check against the queue's cached head time (the
-        // pop loop only exits when it holds, but effect application could in
-        // principle schedule past the drain — make that a checked bug).
-        debug_assert!(
-            self.queue.peek_time().is_none(),
-            "events scheduled after drain"
-        );
-        // Close stall episodes still open at drain so they are neither lost
-        // from `RunResult::stalls` nor left dangling in the trace.
-        self.close_stalls(drained);
-        self.tracer.finish();
-        let metrics = self.tracer.take_metrics().map(|m| m.snapshot());
-        self.check_finished()?;
-        // Mirror the transport shim's counters into the interconnect's
-        // fault statistics so they ride `RunResult::traffic`.
+        let mut st = LoopState::new(self);
+        let verdict = self.run_until(u64::MAX, &mut st, true).err();
+        self.finish_run(Vec::new(), &[st], verdict)
+    }
+
+    /// Copies the transport shim's counters into the interconnect's fault
+    /// statistics so they ride `RunResult::traffic`.
+    pub(crate) fn mirror_xport_stats(&mut self) {
         if let Some(x) = &self.xport {
             let s = *x.stats();
             let f = self.noc.fault_stats_mut();
@@ -771,11 +724,6 @@ impl System {
             f.replayed = s.replayed;
             f.stale_rejected = s.stale_rejected;
         }
-        let mut result = self.collect(drained, events);
-        result.metrics = metrics;
-        result.obs = self.sampler.take().map(|s| s.finish());
-        result.profile = self.profiler.take().map(|p| p.summary());
-        Ok(result)
     }
 
     /// Snapshots the loop's gauges into the sampler (take/restore dodges
@@ -804,23 +752,17 @@ impl System {
         self.sampler = Some(s);
     }
 
-    /// Writes the flight-recorder dump after a failed run: collects the
-    /// rings (partition rings stashed by the sharded engine, else this
-    /// system's own) and, when `CORD_FLIGHT`/`CORD_FLIGHT_OUT` opted into a
-    /// file, renders them to it. The rings stay available afterwards via
+    /// Writes the flight-recorder dump after a failed run: when
+    /// `CORD_FLIGHT`/`CORD_FLIGHT_OUT` opted into a file, renders the rings
+    /// the run stashed to it. The rings stay available afterwards via
     /// [`System::take_flight_rings`].
-    pub(crate) fn dump_flight(&mut self, err_text: &str) {
-        let mut rings = std::mem::take(&mut self.flight_rings);
-        if rings.is_empty() {
-            if let Some(r) = self.tracer.take_flight() {
-                rings.push((self.part.as_ref().map_or(0, |p| p.host), r));
-            }
-        }
+    pub(crate) fn dump_flight(&self, err_text: &str) {
+        let rings = &self.flight_rings;
         if rings.is_empty() {
             return;
         }
         if let Some(path) = flight_out_path() {
-            let text = obs::render_flight(err_text, &rings);
+            let text = obs::render_flight(err_text, rings);
             let kept: usize = rings.iter().map(|(_, r)| r.len()).sum();
             match obs::write_output(&path, &text) {
                 Ok(()) => eprintln!(
@@ -829,7 +771,6 @@ impl System {
                 Err(e) => eprintln!("flight recorder: cannot write {path}: {e}"),
             }
         }
-        self.flight_rings = rings;
     }
 
     /// Writes the env-keyed observability files for a successful run:
@@ -866,8 +807,8 @@ impl System {
         }
     }
 
-    /// Processes one event. Shared between the monolithic loop above and the
-    /// sharded engine's per-partition round loop.
+    /// Processes one event (the body of [`System::run_until`], the event
+    /// loop of both engines).
     pub(crate) fn handle_event(&mut self, now: Time, ev: Event) {
         match ev {
             Event::Deliver(msg) => self.dispatch(now, msg),
@@ -923,24 +864,7 @@ impl System {
                 let tph = self.cfg.noc.tiles_per_host;
                 let dst = TileId::from_flat(wire.dst_flat(), tph);
                 let at = self.noc.ingress(now, dst, bytes);
-                let inner = match wire {
-                    Wire::Deliver(msg) => Event::Deliver(msg),
-                    Wire::DeliverSeq { msg, sess, seq } => Event::DeliverSeq { msg, sess, seq },
-                    Wire::XportAck {
-                        src,
-                        dst,
-                        sess,
-                        seq,
-                        dup,
-                    } => Event::XportAck {
-                        src,
-                        dst,
-                        sess,
-                        seq,
-                        dup,
-                    },
-                };
-                self.queue.push(at, inner);
+                self.queue.push(at, wire.into_event());
             }
             Event::Crash { kind, host } => self.on_crash(now, kind, host),
             Event::RecoverCheck { core } => self.on_recover_check(now, core),
@@ -1125,15 +1049,36 @@ impl System {
         (pcs, done, xp)
     }
 
-    /// Tracer-style narrative of the stuck state: unfinished cores, the
-    /// earliest in-flight events, and outstanding transport state.
-    pub(crate) fn narrate_hang(&self) -> String {
+    /// Tracer-style narrative of a stuck run over `parts` (the systems that
+    /// executed events): unfinished cores, the earliest in-flight events,
+    /// and outstanding transport state.
+    pub(crate) fn narrate_hang(parts: &[System]) -> String {
         let mut s = String::new();
-        s.push_str(&self.narrate_stuck_cores());
-        let mut pending: Vec<(Time, String)> = self
-            .queue
+        for p in parts {
+            for (i, fe) in p.fes.iter().enumerate() {
+                if fe.is_done() {
+                    continue;
+                }
+                let _ = writeln!(
+                    s,
+                    "  core {}: stuck at pc {} on {:?} (stall: {}, polls: {}, engine quiesced: {}, recovering: {})",
+                    p.tile_base + i as u32,
+                    fe.pc(),
+                    fe.current_op().map(|o| o.mnemonic()),
+                    fe.open_stall()
+                        .map_or("none".to_string(), |(c, since)| format!(
+                            "{} since {since}",
+                            c.label()
+                        )),
+                    fe.polls(),
+                    p.engines[i].quiesced(),
+                    p.engines[i].recovering(),
+                );
+            }
+        }
+        let mut pending: Vec<(Time, String)> = parts
             .iter()
-            .map(|(t, ev)| (t, Self::describe_event(ev)))
+            .flat_map(|p| p.queue.iter().map(|(t, ev)| (t, Self::describe_event(ev))))
             .collect();
         pending.sort();
         let _ = writeln!(s, "  in-flight events: {}", pending.len());
@@ -1143,48 +1088,20 @@ impl System {
         if pending.len() > 12 {
             let _ = writeln!(s, "    … {} more", pending.len() - 12);
         }
-        if let Some(x) = &self.xport {
+        let xports: Vec<&Transport> = parts.iter().filter_map(|p| p.xport.as_ref()).collect();
+        if let Some(x) = xports.first() {
             let _ = writeln!(
                 s,
                 "  transport: {} unacked ({} retransmits, {} session resets, {} replays, reliable: {})",
-                x.unacked_total(),
-                x.stats().retransmits,
-                x.stats().sessions_reset,
-                x.stats().replayed,
+                xports.iter().map(|x| x.unacked_total()).sum::<usize>(),
+                xports.iter().map(|x| x.stats().retransmits).sum::<u64>(),
+                xports.iter().map(|x| x.stats().sessions_reset).sum::<u64>(),
+                xports.iter().map(|x| x.stats().replayed).sum::<u64>(),
                 x.config().reliable,
             );
         }
-        if let Some(plan) = self.crash_plan_summary() {
+        if let Some(plan) = parts.first().and_then(System::crash_plan_summary) {
             s.push_str(&plan);
-        }
-        s
-    }
-
-    /// The stuck-core lines of [`System::narrate_hang`] over this system's
-    /// own tiles, labeled with global core ids (the sharded engine composes
-    /// narratives across partitions and appends its own transport and queue
-    /// summaries).
-    pub(crate) fn narrate_stuck_cores(&self) -> String {
-        let mut s = String::new();
-        for (i, fe) in self.fes.iter().enumerate() {
-            if fe.is_done() {
-                continue;
-            }
-            let gid = self.tile_base + i as u32;
-            let _ = writeln!(
-                s,
-                "  core {gid}: stuck at pc {} on {:?} (stall: {}, polls: {}, engine quiesced: {}, recovering: {})",
-                fe.pc(),
-                fe.current_op().map(|o| o.mnemonic()),
-                fe.open_stall()
-                    .map_or("none".to_string(), |(c, since)| format!(
-                        "{} since {since}",
-                        c.label()
-                    )),
-                fe.polls(),
-                self.engines[i].quiesced(),
-                self.engines[i].recovering(),
-            );
         }
         s
     }
@@ -1447,14 +1364,7 @@ impl System {
             let bytes = msg.bytes;
             match self.transmit_egress_traced(depart, src, dst, bytes, msg.class()) {
                 EgressDelivery::Deliver { reach, .. } => {
-                    self.tracer.emit_with(depart, || TraceData::MsgSend {
-                        src: msg.src.tile_flat(),
-                        dst: msg.dst.tile_flat(),
-                        kind: msg.kind.name(),
-                        class: msg.class().label(),
-                        bytes: msg.bytes,
-                        arrive: reach,
-                    });
+                    self.trace_send(depart, &msg, reach);
                     self.deliver_wire(reach, bytes, dst.host, Wire::DeliverSeq { msg, sess, seq });
                 }
                 EgressDelivery::Drop => {}
@@ -1476,14 +1386,7 @@ impl System {
         }
         match self.transmit_traced(depart, src, dst, msg.bytes, msg.class()) {
             Delivery::Deliver { at, .. } => {
-                self.tracer.emit_with(depart, || TraceData::MsgSend {
-                    src: msg.src.tile_flat(),
-                    dst: msg.dst.tile_flat(),
-                    kind: msg.kind.name(),
-                    class: msg.class().label(),
-                    bytes: msg.bytes,
-                    arrive: at,
-                });
+                self.trace_send(depart, &msg, at);
                 self.queue.push(at, Event::DeliverSeq { msg, sess, seq });
             }
             Delivery::Drop => {}
@@ -1500,6 +1403,42 @@ impl System {
                     .push(second, Event::DeliverSeq { msg, sess, seq });
             }
         }
+    }
+
+    /// Traces the departure of `msg`, arriving (or reaching its destination
+    /// port) at `arrive`.
+    fn trace_send(&mut self, depart: Time, msg: &Msg, arrive: Time) {
+        self.tracer.emit_with(depart, || TraceData::MsgSend {
+            src: msg.src.tile_flat(),
+            dst: msg.dst.tile_flat(),
+            kind: msg.kind.name(),
+            class: msg.class().label(),
+            bytes: msg.bytes,
+            arrive,
+        });
+    }
+
+    /// Traces a fault the plan injected on a `src` → `dst` transmission.
+    fn trace_fault(
+        &mut self,
+        depart: Time,
+        src: TileId,
+        dst: TileId,
+        class: MsgClass,
+        fault: &'static str,
+        extra: Time,
+    ) {
+        let tph = self.cfg.noc.tiles_per_host;
+        self.tracer.emit(
+            depart,
+            TraceData::FaultInject {
+                src: src.flat(tph),
+                dst: dst.flat(tph),
+                class: class.label(),
+                fault,
+                extra,
+            },
+        );
     }
 
     /// [`Noc::transmit`] plus fault-event tracing.
@@ -1519,16 +1458,7 @@ impl System {
                 Delivery::Duplicate { first, second } => ("dup", second - first),
                 Delivery::Deliver { .. } => return d,
             };
-            self.tracer.emit(
-                depart,
-                TraceData::FaultInject {
-                    src: src.flat(self.cfg.noc.tiles_per_host),
-                    dst: dst.flat(self.cfg.noc.tiles_per_host),
-                    class: class.label(),
-                    fault,
-                    extra,
-                },
-            );
+            self.trace_fault(depart, src, dst, class, fault, extra);
         }
         d
     }
@@ -1553,16 +1483,7 @@ impl System {
                 EgressDelivery::Duplicate { first, second } => ("dup", second - first),
                 EgressDelivery::Deliver { .. } => return d,
             };
-            self.tracer.emit(
-                depart,
-                TraceData::FaultInject {
-                    src: src.flat(self.cfg.noc.tiles_per_host),
-                    dst: dst.flat(self.cfg.noc.tiles_per_host),
-                    class: class.label(),
-                    fault,
-                    extra,
-                },
-            );
+            self.trace_fault(depart, src, dst, class, fault, extra);
         }
         d
     }
@@ -1575,24 +1496,7 @@ impl System {
     fn deliver_wire(&mut self, reach: Time, bytes: u64, dst_host: u32, wire: Wire) {
         let part = self.part.as_mut().expect("deliver_wire without partition");
         if dst_host == part.host {
-            let ev = match wire {
-                Wire::Deliver(msg) => Event::Deliver(msg),
-                Wire::DeliverSeq { msg, sess, seq } => Event::DeliverSeq { msg, sess, seq },
-                Wire::XportAck {
-                    src,
-                    dst,
-                    sess,
-                    seq,
-                    dup,
-                } => Event::XportAck {
-                    src,
-                    dst,
-                    sess,
-                    seq,
-                    dup,
-                },
-            };
-            self.queue.push(reach, ev);
+            self.queue.push(reach, wire.into_event());
         } else {
             part.outbox
                 .entry(dst_host)
@@ -1746,27 +1650,13 @@ impl System {
             // Sharded clean path: run the egress half here; the owning
             // partition finishes ingress at port arrival.
             let reach = self.noc.egress(depart, src, dst, msg.bytes, msg.class());
-            self.tracer.emit_with(depart, || TraceData::MsgSend {
-                src: msg.src.tile_flat(),
-                dst: msg.dst.tile_flat(),
-                kind: msg.kind.name(),
-                class: msg.class().label(),
-                bytes: msg.bytes,
-                arrive: reach,
-            });
+            self.trace_send(depart, &msg, reach);
             let bytes = msg.bytes;
             self.deliver_wire(reach, bytes, dst.host, Wire::Deliver(msg));
             return;
         }
         let arrive = self.noc.send(depart, src, dst, msg.bytes, msg.class());
-        self.tracer.emit_with(depart, || TraceData::MsgSend {
-            src: msg.src.tile_flat(),
-            dst: msg.dst.tile_flat(),
-            kind: msg.kind.name(),
-            class: msg.class().label(),
-            bytes: msg.bytes,
-            arrive,
-        });
+        self.trace_send(depart, &msg, arrive);
         self.queue.push(arrive, Event::Deliver(msg));
     }
 

@@ -71,6 +71,9 @@ impl FaultStats {
         self.retransmits += other.retransmits;
         self.spurious_retransmits += other.spurious_retransmits;
         self.dup_dropped += other.dup_dropped;
+        self.sessions_reset += other.sessions_reset;
+        self.replayed += other.replayed;
+        self.stale_rejected += other.stale_rejected;
     }
 }
 
@@ -234,6 +237,47 @@ mod tests {
     fn iter_covers_all_classes() {
         let t = TrafficStats::default();
         assert_eq!(t.iter().count(), MsgClass::COUNT);
+    }
+
+    #[test]
+    fn fault_stats_merge_sums_every_counter() {
+        let one = FaultStats {
+            dropped: 1,
+            duplicated: 2,
+            delayed: 3,
+            retransmits: 4,
+            spurious_retransmits: 5,
+            dup_dropped: 6,
+            sessions_reset: 7,
+            replayed: 8,
+            stale_rejected: 9,
+        };
+        let mut sum = one;
+        sum.merge(&FaultStats {
+            dropped: 10,
+            duplicated: 20,
+            delayed: 30,
+            retransmits: 40,
+            spurious_retransmits: 50,
+            dup_dropped: 60,
+            sessions_reset: 70,
+            replayed: 80,
+            stale_rejected: 90,
+        });
+        assert_eq!(
+            sum,
+            FaultStats {
+                dropped: 11,
+                duplicated: 22,
+                delayed: 33,
+                retransmits: 44,
+                spurious_retransmits: 55,
+                dup_dropped: 66,
+                sessions_reset: 77,
+                replayed: 88,
+                stale_rejected: 99,
+            }
+        );
     }
 
     #[test]
