@@ -15,12 +15,11 @@
 //!    and recording events/sec for each point.
 //!
 //! Results go to `results/BENCH_despeed.json` (`--out PATH` overrides).
-//! Unless `--no-compare` (or `CORD_DESPEED_BASELINE=skip`) is given, the
-//! run compares its events/sec against the committed baseline at
-//! `results/BENCH_despeed.json` (override path with
-//! `CORD_DESPEED_BASELINE`) and fails on a regression larger than
-//! `CORD_DESPEED_TOLERANCE` (default 0.20 = 20%, compared per entry on the
-//! matching `--quick`/full key).
+//! Unless `--no-compare` is given, the run compares its events/sec against
+//! the committed baseline at `results/BENCH_despeed.json` (override path
+//! with `CORD_DESPEED_BASELINE`) and fails on a regression larger than
+//! [`cord_bench::gate::TOLERANCE`] (20%, compared per entry on the matching
+//! `--quick`/full key).
 //!
 //! Usage: `despeed [--quick] [--out PATH] [--no-compare]` — `--quick`
 //! shrinks op counts and the workload so CI finishes in seconds.
@@ -30,7 +29,7 @@ use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use cord::System;
-use cord_bench::print_table;
+use cord_bench::{gate, print_table};
 use cord_proto::{ConsistencyModel, ProtocolKind, SystemConfig};
 use cord_sim::obs::Progress;
 use cord_sim::{DetRng, EventQueue, Time};
@@ -319,81 +318,21 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Minimal field scraper for our own JSON record: finds `"key":value`
-/// pairs inside the entry whose `"key"` matches, good enough for the
-/// regression gate without a JSON dependency.
-fn scrape_entries(json: &str, quick: bool) -> Vec<(String, f64)> {
-    let needle = format!("\"quick\":{quick}");
-    let Some(entry_at) = json.find(&needle) else {
-        return Vec::new();
-    };
-    // The matching record runs from the start of its object to the next
-    // `"bench"` key (or end of file).
-    let tail = &json[entry_at..];
-    let end = tail[1..].find("\"bench\"").map_or(tail.len(), |i| i + 1);
-    let entry = &tail[..end];
-    scrape_labels(entry)
-}
-
-/// The host core count a baseline record was taken on, from its
-/// `"cores":N` field.
-fn scrape_cores(json: &str, quick: bool) -> Option<usize> {
-    let needle = format!("\"quick\":{quick}");
-    let entry_at = json.find(&needle)?;
-    let tail = &json[entry_at..];
-    let end = tail[1..].find("\"bench\"").map_or(tail.len(), |i| i + 1);
-    let k = tail[..end].find("\"cores\":")?;
-    let num: String = tail[k + 8..end]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    num.parse().ok()
-}
-
-fn scrape_labels(entry: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut rest = entry;
-    while let Some(i) = rest.find("\"label\":\"") {
-        rest = &rest[i + 9..];
-        let Some(j) = rest.find('"') else { break };
-        let label = rest[..j].to_string();
-        let Some(k) = rest.find("\"per_sec\":") else {
-            break;
-        };
-        rest = &rest[k + 10..];
-        let num: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            out.push((label, v));
-        }
-    }
-    out
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let no_compare = args.iter().any(|a| a == "--no-compare")
-        || std::env::var("CORD_DESPEED_BASELINE").as_deref() == Ok("skip");
+    let no_compare = args.iter().any(|a| a == "--no-compare");
     let out = args
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "results/BENCH_despeed.json".into());
-    let baseline_path = std::env::var("CORD_DESPEED_BASELINE")
-        .unwrap_or_else(|_| "results/BENCH_despeed.json".into());
-    let tolerance: f64 = std::env::var("CORD_DESPEED_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.20);
     // Read the committed baseline *before* this run overwrites it.
-    let baseline = if no_compare {
-        None
-    } else {
-        std::fs::read_to_string(&baseline_path).ok()
-    };
+    let baseline = gate::Baseline::load(
+        no_compare,
+        "CORD_DESPEED_BASELINE",
+        "results/BENCH_despeed.json",
+    );
 
     let (ops, batches) = if quick { (200_000, 3) } else { (2_000_000, 7) };
     // Workers beyond the machine's cores can't speed anything up (and the
@@ -578,62 +517,12 @@ fn main() {
     println!("\nrecord written to {out}");
 
     // -- Regression gate --------------------------------------------------
-    if let Some(base) = baseline {
-        let old = scrape_entries(&base, quick);
-        if old.is_empty() {
-            println!("no matching baseline entry (quick={quick}) in {baseline_path}; gate skipped");
-            return;
-        }
-        // Throughput baselines only transfer between same-width hosts; on a
-        // different machine the comparison is advisory, not a gate.
-        if let Some(base_cores) = scrape_cores(&base, quick) {
-            if base_cores != cores {
-                println!(
-                    "WARNING: baseline in {baseline_path} was recorded on {base_cores} core(s) \
-                     but this host has {cores}; throughputs are not comparable — gate skipped"
-                );
-                return;
-            }
-        }
-        let mut failures = Vec::new();
-        let mut gated = 0usize;
-        for (label, old_eps) in &old {
-            // Multi-worker points are scheduler-noisy on small CI machines
-            // (workers can exceed cores); gate only the stable
-            // single-threaded entries.
-            if !(label.starts_with("queue/")
-                || label == "scale/monolithic"
-                || label == "scale/sharded@1")
-            {
-                continue;
-            }
-            let Some((_, new_eps)) = entries.iter().find(|(l, _)| l == label) else {
-                continue;
-            };
-            gated += 1;
-            if *new_eps < old_eps * (1.0 - tolerance) {
-                failures.push(format!(
-                    "{label}: {:.2}M/s -> {:.2}M/s ({:+.1}%)",
-                    old_eps / 1e6,
-                    new_eps / 1e6,
-                    (new_eps / old_eps - 1.0) * 100.0
-                ));
-            }
-        }
-        if failures.is_empty() {
-            println!(
-                "regression gate: ok ({gated} entries within {:.0}% of {baseline_path})",
-                tolerance * 100.0
-            );
-        } else {
-            eprintln!(
-                "regression gate FAILED (tolerance {:.0}%):",
-                tolerance * 100.0
-            );
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
+    if let Some(base) = &baseline {
+        // Multi-worker points are scheduler-noisy on small CI machines
+        // (workers can exceed cores); gate only the stable single-threaded
+        // entries.
+        gate::enforce(base, quick, cores, &entries, |label| {
+            label.starts_with("queue/") || label == "scale/monolithic" || label == "scale/sharded@1"
+        });
     }
 }

@@ -21,11 +21,10 @@
 //!
 //! Results go to `results/BENCH_scale.json` (`--out PATH` overrides) as a
 //! two-record array (one `--quick` line for CI, one full line for local
-//! runs). Unless `--no-compare` (or `CORD_SCALE_BASELINE=skip`) is given,
-//! events/sec are compared against the committed baseline
-//! (`CORD_SCALE_BASELINE` overrides the path) and the run fails on a
-//! regression larger than `CORD_SCALE_TOLERANCE` (default 0.20 = 20%).
-//! Baselines recorded on a different core count are warned about and
+//! runs). Unless `--no-compare` is given, events/sec are compared against
+//! the committed baseline (`CORD_SCALE_BASELINE` overrides the path) and the
+//! run fails on a regression larger than [`cord_bench::gate::TOLERANCE`]
+//! (20%). Baselines recorded on a different core count are warned about and
 //! skipped, never gated.
 //!
 //! `CORD_SCALE_CELLS=<hosts>[,<hosts>…]` restricts the sweep to the named
@@ -37,7 +36,7 @@
 use std::time::Instant;
 
 use cord::System;
-use cord_bench::print_table;
+use cord_bench::{gate, print_table};
 use cord_noc::{Fabric, NocConfig};
 use cord_proto::{ConsistencyModel, ProtocolKind, SystemConfig};
 use cord_sim::obs::Progress;
@@ -239,73 +238,21 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Minimal field scraper for our own JSON record (no JSON dependency):
-/// `(label, per_sec)` pairs from the entry matching `quick`.
-fn scrape_entries(json: &str, quick: bool) -> Vec<(String, f64)> {
-    let needle = format!("\"quick\":{quick}");
-    let Some(entry_at) = json.find(&needle) else {
-        return Vec::new();
-    };
-    let tail = &json[entry_at..];
-    let end = tail[1..].find("\"bench\"").map_or(tail.len(), |i| i + 1);
-    let entry = &tail[..end];
-    let mut out = Vec::new();
-    let mut rest = entry;
-    while let Some(i) = rest.find("\"label\":\"") {
-        rest = &rest[i + 9..];
-        let Some(j) = rest.find('"') else { break };
-        let label = rest[..j].to_string();
-        let Some(k) = rest.find("\"per_sec\":") else {
-            break;
-        };
-        rest = &rest[k + 10..];
-        let num: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            out.push((label, v));
-        }
-    }
-    out
-}
-
-/// The host core count a baseline record was taken on (`"cores":N`).
-fn scrape_cores(json: &str, quick: bool) -> Option<usize> {
-    let needle = format!("\"quick\":{quick}");
-    let entry_at = json.find(&needle)?;
-    let tail = &json[entry_at..];
-    let end = tail[1..].find("\"bench\"").map_or(tail.len(), |i| i + 1);
-    let k = tail[..end].find("\"cores\":")?;
-    let num: String = tail[k + 8..end]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    num.parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let no_compare = args.iter().any(|a| a == "--no-compare")
-        || std::env::var("CORD_SCALE_BASELINE").as_deref() == Ok("skip");
+    let no_compare = args.iter().any(|a| a == "--no-compare");
     let out = args
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "results/BENCH_scale.json".into());
-    let baseline_path =
-        std::env::var("CORD_SCALE_BASELINE").unwrap_or_else(|_| "results/BENCH_scale.json".into());
-    let tolerance: f64 = std::env::var("CORD_SCALE_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.20);
     // Read the committed baseline *before* this run overwrites it.
-    let baseline = if no_compare {
-        None
-    } else {
-        std::fs::read_to_string(&baseline_path).ok()
-    };
+    let baseline = gate::Baseline::load(
+        no_compare,
+        "CORD_SCALE_BASELINE",
+        "results/BENCH_scale.json",
+    );
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // CORD_SCALE_CELLS=128,512 → only those host counts, no record/gate
@@ -449,53 +396,7 @@ fn main() {
     println!("\nrecord written to {out}");
 
     // -- Regression gate ---------------------------------------------------
-    if let Some(base) = baseline {
-        let old = scrape_entries(&base, quick);
-        if old.is_empty() {
-            println!("no matching baseline entry (quick={quick}) in {baseline_path}; gate skipped");
-            return;
-        }
-        // Throughput baselines only transfer between same-width hosts; on a
-        // different machine the comparison is advisory, not a gate.
-        if let Some(base_cores) = scrape_cores(&base, quick) {
-            if base_cores != cores {
-                println!(
-                    "WARNING: baseline in {baseline_path} was recorded on {base_cores} core(s) \
-                     but this host has {cores}; throughputs are not comparable — gate skipped"
-                );
-                return;
-            }
-        }
-        let mut failures = Vec::new();
-        let mut gated = 0usize;
-        for (label, old_eps) in &old {
-            let Some((_, new_eps)) = entries.iter().find(|(l, _)| l == label) else {
-                continue;
-            };
-            gated += 1;
-            if *new_eps < old_eps * (1.0 - tolerance) {
-                failures.push(format!(
-                    "{label}: {:.2}M/s -> {:.2}M/s ({:+.1}%)",
-                    old_eps / 1e6,
-                    new_eps / 1e6,
-                    (new_eps / old_eps - 1.0) * 100.0
-                ));
-            }
-        }
-        if failures.is_empty() {
-            println!(
-                "regression gate: ok ({gated} cell(s) within {:.0}% of {baseline_path})",
-                tolerance * 100.0
-            );
-        } else {
-            eprintln!(
-                "regression gate FAILED (tolerance {:.0}%):",
-                tolerance * 100.0
-            );
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
+    if let Some(base) = &baseline {
+        gate::enforce(base, quick, cores, &entries, |_| true);
     }
 }

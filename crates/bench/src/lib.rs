@@ -12,6 +12,7 @@
 //! *comparisons* (who wins, by roughly what factor, where crossovers fall)
 //! are the reproduction target — see EXPERIMENTS.md.
 
+pub mod gate;
 pub mod sweep;
 
 use cord::{RunResult, System};
