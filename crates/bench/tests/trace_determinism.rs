@@ -4,7 +4,7 @@
 //! `RunResult` when a recorder is attached.
 //!
 //! Regenerate the golden trace after an intentional format or protocol
-//! change with `CORD_BLESS=1 cargo test -p cord-bench --test
+//! change with `CORD_UPDATE_GOLDEN=1 cargo test -p cord-bench --test
 //! trace_determinism`.
 
 use cord::System;
@@ -117,16 +117,16 @@ fn golden_mp_micro_trace() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/mp_micro_trace.json"
     );
-    if std::env::var_os("CORD_BLESS").is_some_and(|v| v != "0") {
-        std::fs::write(golden_path, &actual).expect("bless golden trace");
+    if std::env::var_os("CORD_UPDATE_GOLDEN").is_some() {
+        std::fs::write(golden_path, &actual).expect("re-record golden trace");
         return;
     }
     let golden = std::fs::read_to_string(golden_path)
-        .expect("golden trace present (regenerate with CORD_BLESS=1)");
+        .expect("golden trace present (regenerate with CORD_UPDATE_GOLDEN=1)");
     assert_eq!(
         actual, golden,
         "trace drifted from the golden file; if intentional, regenerate \
-         with CORD_BLESS=1"
+         with CORD_UPDATE_GOLDEN=1"
     );
 }
 
