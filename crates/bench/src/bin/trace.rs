@@ -278,8 +278,9 @@ fn main() {
         None => sys.tracer_mut().install(Box::new(tail.clone())),
     }
     sys.tracer_mut().attach_metrics(MetricsRecorder::default());
-    // `--metrics-out` implies sampling; `CORD_OBS` still picks the interval.
-    if args.metrics_out.is_some() && std::env::var_os("CORD_OBS").is_none() {
+    // `--metrics-out` implies sampling; an armed `CORD_OBS` still picks the
+    // interval.
+    if args.metrics_out.is_some() && sys.tracer_mut().sampler_mut().is_none() {
         sys.set_sampling(Some(Time::from_us(1)));
     }
     let proto = sys.config().protocol;

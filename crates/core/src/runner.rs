@@ -10,7 +10,6 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use cord_mem::{Addr, Memory};
 use cord_noc::{Delivery, EgressDelivery, MsgClass, Noc, PairFlow, TileId, TrafficStats};
@@ -20,7 +19,7 @@ use cord_proto::{
     SystemConfig, Transport, TransportConfig, ACK_BYTES,
 };
 use cord_sim::fault::{CrashKind, FaultPlan};
-use cord_sim::obs::{self, ProfileSummary, Profiler, Sampler, SeriesSet};
+use cord_sim::obs::{ProfileSummary, SeriesSet};
 use cord_sim::trace::{MetricsSnapshot, RingSink, TraceData, Tracer};
 use cord_sim::{EventQueue, Time};
 
@@ -128,21 +127,6 @@ impl Event {
         Self::KINDS[self.kind_index()]
     }
 }
-
-/// Sampler series names for in-flight events per class, index-aligned with
-/// [`Event::KINDS`] (static so the sampling hot path never formats).
-const INFLIGHT_SERIES: [&str; 10] = [
-    "inflight_deliver",
-    "inflight_deliver_seq",
-    "inflight_xport_ack",
-    "inflight_xport_timeout",
-    "inflight_core_step",
-    "inflight_core_wake",
-    "inflight_dir_wake",
-    "inflight_port_arrive",
-    "inflight_crash",
-    "inflight_recover_check",
-];
 
 /// The cross-partition payload of a [`Event::PortArrive`] (sharded runs):
 /// everything the destination partition needs to finish a delivery whose
@@ -318,15 +302,15 @@ pub struct RunResult {
     pub polls: u64,
     /// Events processed.
     pub events: u64,
-    /// Trace-derived metrics, when a `MetricsRecorder` was attached (via
-    /// `CORD_TRACE=1` or [`System::tracer_mut`]).
+    /// Trace-derived metrics, when a `MetricsRecorder` was attached (from
+    /// the environment or via [`System::tracer_mut`]).
     pub metrics: Option<MetricsSnapshot>,
-    /// Sim-time-sampled observability series, when sampling was armed (via
-    /// `CORD_OBS` or [`System::set_sampling`]). Deterministic: bit-identical
-    /// at any worker count.
+    /// Sim-time-sampled observability series, when sampling was armed (from
+    /// the environment or via [`System::set_sampling`]). Deterministic:
+    /// bit-identical at any worker count.
     pub obs: Option<SeriesSet>,
-    /// Wall-clock self-profile, when profiling was armed (via
-    /// `CORD_PROFILE` or [`System::set_profiling`]). Non-deterministic by
+    /// Wall-clock self-profile, when profiling was armed (from the
+    /// environment or via [`System::set_profiling`]). Non-deterministic by
     /// construction — never part of run fingerprints.
     pub profile: Option<ProfileSummary>,
     /// Sparse per-host-pair flow counters, sorted by `(src, dst)`, when
@@ -417,8 +401,8 @@ pub struct System {
     scratch_fx: Vec<CoreEffect>,
     scratch_acts: Vec<FeAction>,
     scratch_dfx: Vec<DirEffect>,
-    /// Protocol tracing; disabled (a pair of `None`s) unless `CORD_TRACE`
-    /// is set or a sink is installed through [`System::tracer_mut`].
+    /// The run's observer set, armed from the environment
+    /// ([`Tracer::from_env`]) or programmatically ([`System::tracer_mut`]).
     pub(crate) tracer: Tracer,
     /// Reliable-transport shim, present only in fault-injection mode (the
     /// clean-fabric fast path stays byte-identical when this is `None`).
@@ -438,18 +422,6 @@ pub struct System {
     /// Set on partition `System`s inside a sharded run; `None` on ordinary
     /// (monolithic) systems.
     pub(crate) part: Option<Partition>,
-    /// Sim-time sampling of queue/transport gauges (`CORD_OBS` or
-    /// [`System::set_sampling`]); boxed to keep the disabled hot path's
-    /// `System` footprint unchanged.
-    pub(crate) sampler: Option<Box<Sampler>>,
-    /// Wall-clock self-profiler (`CORD_PROFILE` or
-    /// [`System::set_profiling`]).
-    pub(crate) profiler: Option<Box<Profiler>>,
-    /// Flight rings taken from the systems that executed the last run (the
-    /// partitions of a sharded run, or this system as partition 0), held for
-    /// the post-mortem dump and programmatic access
-    /// ([`System::take_flight_rings`]).
-    pub(crate) flight_rings: Vec<(u32, RingSink)>,
     /// Per-host count of directory crashes already injected (the `gen`
     /// stamped into [`MsgKind::DirRecover`] notices). Per-host so sharded
     /// and monolithic runs stamp identical generations.
@@ -484,11 +456,6 @@ impl System {
         let mut sys = Self::build(cfg, noc, programs, 0);
         sys.tracer = Tracer::from_env();
         sys.sim_threads = sim_threads_from_env();
-        sys.sampler = sampler_from_env();
-        sys.profiler = profiler_from_env();
-        if let Some(cap) = flight_cap_from_env() {
-            sys.tracer.arm_flight(cap);
-        }
         if let Ok(spec) = std::env::var("CORD_FAULTS") {
             if !spec.is_empty() {
                 let fs = FaultSpec::parse(&spec).unwrap_or_else(|e| panic!("CORD_FAULTS: {e}"));
@@ -554,9 +521,6 @@ impl System {
             fault_spec: None,
             sim_threads: None,
             part: None,
-            sampler: None,
-            profiler: None,
-            flight_rings: Vec::new(),
             crash_gens,
             tile_base,
         }
@@ -595,27 +559,23 @@ impl System {
 
     /// Arms (or disarms) sim-time sampling at the given grid interval. The
     /// resulting series rides [`RunResult::obs`] and is bit-identical at
-    /// any worker count. Equivalent to the `CORD_OBS` environment knob.
+    /// any worker count. Overrides the environment's setting.
     pub fn set_sampling(&mut self, interval: Option<Time>) {
-        self.sampler = interval.map(|i| Box::new(Sampler::new(i)));
+        self.tracer.set_sampling(interval);
     }
 
     /// Arms (or disarms) the wall-clock self-profiler; the summary rides
-    /// [`RunResult::profile`]. Equivalent to the `CORD_PROFILE` knob.
+    /// [`RunResult::profile`]. Overrides the environment's setting.
     pub fn set_profiling(&mut self, on: bool) {
-        self.profiler = if on {
-            Some(Box::new(Profiler::new()))
-        } else {
-            None
-        };
+        self.tracer.set_profiling(on);
     }
 
     /// After a failed [`System::try_run`] with the flight recorder armed
-    /// (`CORD_FLIGHT` or [`Tracer::arm_flight`]): the per-partition rings
+    /// (from the environment or via [`Tracer::arm_flight`]): the rings
     /// of last-seen trace events, for callers that want to render the dump
     /// themselves (the `trace` binary).
     pub fn take_flight_rings(&mut self) -> Vec<(u32, RingSink)> {
-        std::mem::take(&mut self.flight_rings)
+        self.tracer.take_flight_rings()
     }
 
     /// Selects the execution engine: `Some(w)` runs through the sharded
@@ -696,8 +656,15 @@ impl System {
         // The one shared exit point for observability outputs: series and
         // profile exports on success, the flight-recorder dump on failure.
         match &res {
-            Ok(r) => self.export_obs_outputs(r),
-            Err(e) => self.dump_flight(&e.to_string()),
+            Ok(r) => self.tracer.write_outputs(
+                None,
+                r.obs.as_ref(),
+                r.metrics.as_ref(),
+                r.profile.as_ref(),
+            ),
+            Err(e) => self
+                .tracer
+                .write_outputs(Some(&e.to_string()), None, None, None),
         }
         res
     }
@@ -726,10 +693,10 @@ impl System {
         }
     }
 
-    /// Snapshots the loop's gauges into the sampler (take/restore dodges
-    /// the borrow conflict between the boxed sampler and `&self` reads).
+    /// Snapshots the loop's gauges into the sampler once `now` crosses its
+    /// next grid boundary.
     pub(crate) fn take_sample(&mut self, now: Time) {
-        let Some(mut s) = self.sampler.take() else {
+        let Some(s) = self.tracer.sampler_mut().filter(|s| s.due(now.as_ps())) else {
             return;
         };
         let t = s.begin_sample(now.as_ps());
@@ -742,68 +709,12 @@ impl System {
         for (_, ev) in self.queue.iter() {
             counts[ev.kind_index()] += 1;
         }
-        for (name, n) in INFLIGHT_SERIES.iter().zip(counts) {
-            s.record(name, t, n);
+        for (kind, n) in Event::KINDS.iter().zip(counts) {
+            s.record(&format!("inflight_{kind}"), t, n);
         }
         if let Some(x) = &self.xport {
             s.record("xport_unacked", t, x.unacked_total() as u64);
             s.record("xport_retransmits", t, x.stats().retransmits);
-        }
-        self.sampler = Some(s);
-    }
-
-    /// Writes the flight-recorder dump after a failed run: when
-    /// `CORD_FLIGHT`/`CORD_FLIGHT_OUT` opted into a file, renders the rings
-    /// the run stashed to it. The rings stay available afterwards via
-    /// [`System::take_flight_rings`].
-    pub(crate) fn dump_flight(&self, err_text: &str) {
-        let rings = &self.flight_rings;
-        if rings.is_empty() {
-            return;
-        }
-        if let Some(path) = flight_out_path() {
-            let text = obs::render_flight(err_text, rings);
-            let kept: usize = rings.iter().map(|(_, r)| r.len()).sum();
-            match obs::write_output(&path, &text) {
-                Ok(()) => eprintln!(
-                    "flight recorder: dumped {kept} event(s) to {path} (replay: trace --flight {path})"
-                ),
-                Err(e) => eprintln!("flight recorder: cannot write {path}: {e}"),
-            }
-        }
-    }
-
-    /// Writes the env-keyed observability files for a successful run:
-    /// `CORD_OBS_OUT` (series JSON plus a `.prom` Prometheus sibling) and
-    /// `CORD_PROFILE_OUT` (collapsed stacks, default
-    /// `results/PROFILE.folded`).
-    fn export_obs_outputs(&self, r: &RunResult) {
-        if let (Some(set), Ok(base)) = (&r.obs, std::env::var("CORD_OBS_OUT")) {
-            if !base.is_empty() {
-                // As with CORD_TRACE_OUT: later runs in one process get a
-                // `.N` suffix so each keeps its own files.
-                static ENV_OBS: AtomicU64 = AtomicU64::new(0);
-                let n = ENV_OBS.fetch_add(1, Ordering::Relaxed);
-                let path = if n == 0 { base } else { format!("{base}.{n}") };
-                let json = obs::render_json(set, r.metrics.as_ref());
-                if let Err(e) = obs::write_output(&path, &json) {
-                    eprintln!("CORD_OBS_OUT: cannot write {path}: {e}");
-                }
-                let prom = obs::render_prometheus(set, r.metrics.as_ref());
-                let ppath = format!("{path}.prom");
-                if let Err(e) = obs::write_output(&ppath, &prom) {
-                    eprintln!("CORD_OBS_OUT: cannot write {ppath}: {e}");
-                }
-            }
-        }
-        if let Some(profile) = &r.profile {
-            if std::env::var_os("CORD_PROFILE").is_some() {
-                let path = std::env::var("CORD_PROFILE_OUT")
-                    .unwrap_or_else(|_| "results/PROFILE.folded".to_string());
-                if let Err(e) = obs::write_folded(&path, profile) {
-                    eprintln!("CORD_PROFILE_OUT: cannot write {path}: {e}");
-                }
-            }
         }
     }
 
@@ -1729,59 +1640,6 @@ fn sim_threads_from_env() -> Option<usize> {
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
-}
-
-/// Parses `CORD_OBS`: unset, empty, or `0` → no sampling; `1` → the 1 µs
-/// default interval; any other value → that many **nanoseconds** of sim
-/// time per sample (unparsable values also fall back to 1 µs).
-fn sampler_from_env() -> Option<Box<Sampler>> {
-    let v = std::env::var("CORD_OBS").ok()?;
-    let v = v.trim();
-    if v.is_empty() || v == "0" {
-        return None;
-    }
-    let interval = if v == "1" {
-        Time::from_us(1)
-    } else {
-        v.parse::<u64>().map_or(Time::from_us(1), Time::from_ns)
-    };
-    Some(Box::new(Sampler::new(interval)))
-}
-
-/// Parses `CORD_PROFILE`: any non-empty, non-`0` value enables the
-/// wall-clock self-profiler.
-fn profiler_from_env() -> Option<Box<Profiler>> {
-    match std::env::var("CORD_PROFILE") {
-        Ok(v) if !v.trim().is_empty() && v.trim() != "0" => Some(Box::new(Profiler::new())),
-        _ => None,
-    }
-}
-
-/// Parses `CORD_FLIGHT`: unset, empty, or `0` → flight recorder off;
-/// `1` or unparsable → the default 256-event ring; `n` → an `n`-event ring.
-fn flight_cap_from_env() -> Option<usize> {
-    let v = std::env::var("CORD_FLIGHT").ok()?;
-    let v = v.trim();
-    if v.is_empty() || v == "0" {
-        return None;
-    }
-    match v.parse::<usize>() {
-        Ok(1) | Err(_) => Some(256),
-        Ok(n) => Some(n),
-    }
-}
-
-/// Where the flight dump file goes, if anywhere: `CORD_FLIGHT_OUT` names
-/// the path; with only `CORD_FLIGHT` set the default is
-/// `results/FLIGHT_last.txt`. Neither set → no file (programmatic users
-/// read the rings through [`System::take_flight_rings`]).
-fn flight_out_path() -> Option<String> {
-    if let Ok(p) = std::env::var("CORD_FLIGHT_OUT") {
-        if !p.trim().is_empty() {
-            return Some(p);
-        }
-    }
-    flight_cap_from_env().map(|_| "results/FLIGHT_last.txt".to_string())
 }
 
 #[cfg(test)]

@@ -36,13 +36,17 @@
 //! The monolithic engine is the same partition loop over the whole system
 //! with an open horizon ([`System::run_until`] to `u64::MAX`, solo), and both
 //! engines leave through [`System::finish_run`].
+//!
+//! Observers follow the same split: each partition gets
+//! [`Tracer::fork`](cord_sim::trace::Tracer::fork) of the parent's observer
+//! set, and [`System::finish_run`] hands the partitions' sets back, in host
+//! order, to [`Tracer::absorb`](cord_sim::trace::Tracer::absorb).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use cord_sim::obs::{Profiler, Sampler, ScopeTimer};
-use cord_sim::trace::{BufSink, RingSink, TraceEvent, Tracer};
+use cord_sim::obs::ScopeTimer;
 use cord_sim::Time;
 
 use crate::any::AnyCore;
@@ -224,7 +228,7 @@ impl System {
         st: &mut LoopState,
         solo: bool,
     ) -> Result<(), Verdict> {
-        let profiling = self.profiler.is_some();
+        let profiling = self.tracer.profiler_mut().is_some();
         let mut pending = match self.queue.peek_time() {
             Some(t) if t.as_ps() < horizon_ps => self.queue.pop(),
             _ => None,
@@ -254,16 +258,15 @@ impl System {
             // Deterministic sim-time sampling, one snapshot per crossed grid
             // boundary of the pre-dispatch state: the per-partition pop order
             // is worker-count independent, so so are the sampled series.
-            if let Some(s) = self.sampler.as_deref() {
-                if s.due(now.as_ps()) {
-                    self.take_sample(now);
-                }
+            if self.tracer.sampler_mut().is_some() {
+                self.take_sample(now);
             }
             st.drained = now;
             let label = profiling.then(|| ev.kind_label());
             let timer = ScopeTimer::start(profiling);
             self.handle_event(now, ev);
-            if let (Some(l), Some(ns), Some(p)) = (label, timer.stop(), self.profiler.as_mut()) {
+            if let (Some(l), Some(ns), Some(p)) = (label, timer.stop(), self.tracer.profiler_mut())
+            {
                 p.add_class(l, ns);
             }
             // Cycle-accurate fabrics land bursts of deliveries on one
@@ -298,30 +301,15 @@ fn make_partition(parent: &System, host: u32) -> System {
         parent.programs[lo..lo + tph as usize].to_vec(),
         host * tph,
     );
-    // `System::build` never consults the environment (CORD_SIM_THREADS,
-    // CORD_FAULTS, CORD_TRACE); partitions mirror the parent's *effective*
-    // state instead, which may have been set programmatically.
+    // `System::build` never consults the environment; partitions mirror the
+    // parent's *effective* state instead, which may have been set
+    // programmatically.
     if let Some((plan, xcfg)) = &parent.fault_spec {
         s.set_faults(plan.clone(), *xcfg);
     }
     s.watchdog = parent.watchdog;
     s.max_events = parent.max_events;
-    // A buffer sink is only needed when the parent will replay the merged
-    // trace into a real sink, metrics recorder or coverage map —
-    // flight-recorder-only tracing stays in the per-partition rings.
-    s.tracer = if parent.tracer.needs_merged_replay() {
-        Tracer::with_sink(Box::new(BufSink::new()))
-    } else {
-        Tracer::disabled()
-    };
-    if let Some(cap) = parent.tracer.flight_cap() {
-        s.tracer.arm_flight(cap);
-    }
-    s.sampler = parent
-        .sampler
-        .as_ref()
-        .map(|p| Box::new(Sampler::new(p.interval())));
-    s.profiler = parent.profiler.as_ref().map(|_| Box::new(Profiler::new()));
+    s.tracer = parent.tracer.fork();
     // Each partition injects only its own host's crash events, so every
     // crash fires exactly once regardless of worker count.
     s.schedule_crashes(Some(host));
@@ -388,7 +376,9 @@ fn worker_loop(
     coord: &Coord,
 ) -> (Vec<System>, Vec<LoopState>) {
     let solo = nparts == 1;
-    let profiling = shards.first().is_some_and(|s| s.profiler.is_some());
+    let profiling = shards
+        .first_mut()
+        .is_some_and(|s| s.tracer.profiler_mut().is_some());
     // Wall-clock spent parked at the two round barriers, folded into the
     // chunk's first partition at the end (profiles are merged additively and
     // marked non-deterministic, so the attribution point doesn't matter).
@@ -412,7 +402,7 @@ fn worker_loop(
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| drain_inbox(s, me, coord))) {
                 coord.record_panic(me, payload);
             }
-            if let (Some(ns), Some(p)) = (timer.stop(), s.profiler.as_mut()) {
+            if let (Some(ns), Some(p)) = (timer.stop(), s.tracer.profiler_mut()) {
                 p.add_phase("inbox_merge", ns);
             }
             let min = s.queue.peek_time().map_or(u64::MAX, |t| t.as_ps());
@@ -484,7 +474,7 @@ fn worker_loop(
             let st = &mut states[k];
             let timer = ScopeTimer::start(profiling);
             let outcome = catch_unwind(AssertUnwindSafe(|| s.run_until(horizon_ps, st, solo)));
-            if let (Some(ns), Some(p)) = (timer.stop(), s.profiler.as_mut()) {
+            if let (Some(ns), Some(p)) = (timer.stop(), s.tracer.profiler_mut()) {
                 p.add_phase("execute", ns);
             }
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| flush_outbox(s, me, coord))) {
@@ -506,7 +496,7 @@ fn worker_loop(
         }
     }
     if barrier_ns > 0 {
-        if let Some(p) = shards.first_mut().and_then(|s| s.profiler.as_mut()) {
+        if let Some(p) = shards.first_mut().and_then(|s| s.tracer.profiler_mut()) {
             p.add_phase("barrier_wait", barrier_ns);
         }
     }
@@ -608,8 +598,9 @@ pub(crate) fn run_sharded(sys: &mut System, workers: usize) -> Result<RunResult,
     }
 
     if let Some((part, payload)) = coord.panic.into_inner().expect("panic lock") {
-        sys.stash_flight_rings(&mut shards);
-        sys.dump_flight(&format!("worker panic in partition {part}"));
+        sys.absorb_observers(&mut shards);
+        let err = format!("worker panic in partition {part}");
+        sys.tracer.write_outputs(Some(&err), None, None, None);
         resume_unwind(payload);
     }
     let verdict = coord.verdict.into_inner().expect("verdict lock");
@@ -627,17 +618,11 @@ impl System {
         }
     }
 
-    /// Moves each executing system's flight ring onto `self`, keyed by
-    /// partition (0 for the monolithic system), so every failure mode
-    /// dumps from one place.
-    fn stash_flight_rings(&mut self, shards: &mut [System]) {
-        let rings: Vec<(u32, RingSink)> = self
-            .parts_mut(shards)
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(h, p)| p.tracer.take_flight().map(|r| (h as u32, r)))
-            .collect();
-        self.flight_rings.extend(rings);
+    /// Merges the observer sets of the systems that executed this run into
+    /// this system's (see [`cord_sim::trace::Tracer::absorb`]).
+    fn absorb_observers(&mut self, shards: &mut [System]) {
+        let parts = shards.iter_mut().map(|s| std::mem::take(&mut s.tracer));
+        self.tracer.absorb(parts.collect());
     }
 
     /// The end of a run, shared by both engines: `shards` holds a sharded
@@ -655,7 +640,6 @@ impl System {
             .max()
             .unwrap_or(Time::ZERO);
         let events = states.iter().map(|st| st.events).sum();
-        self.stash_flight_rings(&mut shards);
         for p in self.parts_mut(&mut shards) {
             // Close stall episodes at the *global* drain time so stall
             // totals and traces match for every worker count. Only on
@@ -666,48 +650,16 @@ impl System {
             }
             p.mirror_xport_stats();
         }
-        // Deterministic trace merge: partition-local buffers, stably ordered
-        // by (time, partition, emission index), replayed through the parent
-        // tracer (which owns the real sink, metrics recorder and coverage
-        // map) to reassign global sequence numbers. The round-barrier loop
-        // makes the buffers worker-count independent even when a verdict
-        // aborted the run, so the replay also happens on the failure path —
-        // coverage maps and sink output for a hang or event-cap repro are
-        // identical at any `CORD_SIM_THREADS`.
-        if self.tracer.needs_merged_replay() {
-            let mut merged: Vec<(u64, usize, usize, TraceEvent)> = Vec::new();
-            for (h, sh) in shards.iter_mut().enumerate() {
-                if let Some(mut sink) = sh.tracer.take_sink() {
-                    if let Some(buf) = sink.as_any_mut().and_then(|a| a.downcast_mut::<BufSink>()) {
-                        for (idx, ev) in buf.take().into_iter().enumerate() {
-                            merged.push((ev.at.as_ps(), h, idx, ev));
-                        }
-                    }
-                }
-            }
-            merged.sort_by_key(|&(t, h, i, _)| (t, h, i));
-            for (_, _, _, ev) in merged {
-                self.tracer.emit(ev.at, ev.data);
-            }
-        }
+        // The merge replays every partition's events through this system's
+        // consumers. The round-barrier loop makes the buffers worker-count
+        // independent even when a verdict aborted the run, so the replay
+        // also happens on the failure path — coverage maps and sink output
+        // for a hang or event-cap repro are identical at any
+        // `CORD_SIM_THREADS`.
+        self.absorb_observers(&mut shards);
         self.tracer.finish();
         if let Some(v) = verdict {
             return Err(v.into_error(self.parts_mut(&mut shards)));
-        }
-        let metrics = self.tracer.take_metrics().map(|m| m.snapshot());
-
-        // Partition sample series merge under `p{host}.` prefixes (host
-        // order → deterministic key set); partition profilers merge into
-        // this system's.
-        let mut obs = self.sampler.take().map(|s| s.finish());
-        let mut profile = self.profiler.take();
-        for (h, sh) in shards.iter_mut().enumerate() {
-            if let (Some(into), Some(s)) = (obs.as_mut(), sh.sampler.take()) {
-                into.absorb_prefixed(&format!("p{h}."), s.finish());
-            }
-            if let (Some(into), Some(p)) = (profile.as_deref_mut(), sh.profiler.take()) {
-                into.merge(&p);
-            }
         }
 
         // Gather per-tile state back from the partitions (each tile from its
@@ -748,9 +700,9 @@ impl System {
 
         self.check_finished()?;
         let mut result = self.collect(drained, events);
-        result.metrics = metrics;
-        result.obs = obs;
-        result.profile = profile.map(|p| p.summary());
+        result.metrics = self.tracer.take_metrics().map(|m| m.snapshot());
+        result.obs = self.tracer.take_series();
+        result.profile = self.tracer.take_profile();
         Ok(result)
     }
 }

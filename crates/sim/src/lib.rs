@@ -15,15 +15,16 @@
 //!   interconnect boundary,
 //! * [`trace`] — zero-cost-when-disabled protocol tracing: typed events,
 //!   pluggable sinks (ring buffer, Perfetto-compatible Chrome-trace JSON,
-//!   metrics timelines), keyed by `CORD_TRACE`/`CORD_TRACE_OUT`,
+//!   metrics timelines), and [`trace::Tracer`], the run's one observer set,
+//!   which parses every observability knob (`CORD_TRACE`, `CORD_OBS`,
+//!   `CORD_PROFILE`, `CORD_FLIGHT` and their `_OUT` paths),
 //! * [`coverage`] — deterministic trace-derived coverage maps (protocol
 //!   event-pair, fault-recovery and table-pressure edges), the novelty
 //!   signal behind the coverage-guided fuzzer,
 //! * [`obs`] — continuous observability on top of the tracer: deterministic
 //!   sim-time-sampled series (JSON + Prometheus export), a failure flight
 //!   recorder, a wall-clock self-profiler, and the shared campaign
-//!   progress line (`CORD_OBS`, `CORD_FLIGHT`, `CORD_PROFILE`,
-//!   `CORD_PROGRESS`).
+//!   progress line (`CORD_PROGRESS`).
 //!
 //! # Example
 //!

@@ -30,13 +30,14 @@
 //! terminal (or `CORD_PROGRESS` is set truthy); `CORD_PROGRESS=0`
 //! silences it unconditionally.
 //!
-//! Everything here follows the tracer's zero-cost discipline: the runner
-//! holds `Option`s, and a disabled pillar costs one branch per event.
+//! Everything here follows the tracer's zero-cost discipline: the run's
+//! [`Tracer`](crate::trace::Tracer) holds the sampler, profiler and flight
+//! ring as `Option`s, and a disabled pillar costs one branch per event.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::IsTerminal;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::time::Time;
@@ -80,11 +81,6 @@ impl SeriesSet {
         for (name, samples) in other.series {
             self.series.insert(format!("{prefix}{name}"), samples);
         }
-    }
-
-    /// Total number of samples across all series.
-    pub fn samples(&self) -> usize {
-        self.series.values().map(Vec::len).sum()
     }
 
     /// Whether no samples were recorded.
@@ -149,9 +145,10 @@ impl Sampler {
         self.set.record(name, t_ps, value);
     }
 
-    /// The series recorded so far.
-    pub fn set(&self) -> &SeriesSet {
-        &self.set
+    /// Merges a partition's series in under `prefix` (see
+    /// [`SeriesSet::absorb_prefixed`]).
+    pub(crate) fn absorb_prefixed(&mut self, prefix: &str, other: SeriesSet) {
+        self.set.absorb_prefixed(prefix, other);
     }
 
     /// Consumes the sampler, returning its series.
@@ -243,13 +240,17 @@ pub fn render_prometheus(set: &SeriesSet, metrics: Option<&MetricsSnapshot>) -> 
     out
 }
 
+/// Creates `path`'s parent directories, if it names any.
+pub(crate) fn create_parent(path: &str) -> std::io::Result<()> {
+    match std::path::Path::new(path).parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => std::fs::create_dir_all(dir),
+        _ => Ok(()),
+    }
+}
+
 /// Writes `text` to `path`, creating parent directories as needed.
 pub fn write_output(path: &str, text: &str) -> std::io::Result<()> {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
+    create_parent(path)?;
     std::fs::write(path, text)
 }
 
@@ -446,11 +447,8 @@ fn fmt_opt(e: Option<u64>) -> String {
 /// labels is small and fixed by the emitting layers, so the leak is
 /// bounded.
 fn intern_label(s: &str) -> &'static str {
-    static CACHE: OnceLock<Mutex<HashMap<String, &'static str>>> = OnceLock::new();
-    let mut map = CACHE
-        .get_or_init(Default::default)
-        .lock()
-        .expect("label cache poisoned");
+    static CACHE: Mutex<BTreeMap<String, &'static str>> = Mutex::new(BTreeMap::new());
+    let mut map = CACHE.lock().expect("label cache poisoned");
     if let Some(&l) = map.get(s) {
         return l;
     }
@@ -509,6 +507,14 @@ fn parse_flight_line(line: &str) -> Result<(u32, TraceEvent), String> {
             .parse()
             .map_err(|e| format!("field {k}: {e}"))
     };
+    let num32 = |k: &str| -> Result<u32, String> {
+        u32::try_from(num(k)?).map_err(|e| format!("field {k}: {e}"))
+    };
+    let flag = |k: &str| match num(k)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        v => Err(format!("field {k}: {v} is not 0 or 1")),
+    };
     let label = |k: &str| -> Result<&'static str, String> {
         Ok(intern_label(
             fields.get(k).ok_or_else(|| format!("missing field {k}"))?,
@@ -523,126 +529,126 @@ fn parse_flight_line(line: &str) -> Result<(u32, TraceEvent), String> {
     };
     let data = match kind {
         "msg_send" => TraceData::MsgSend {
-            src: num("src")? as u32,
-            dst: num("dst")? as u32,
+            src: num32("src")?,
+            dst: num32("dst")?,
             kind: label("kind")?,
             class: label("class")?,
             bytes: num("bytes")?,
             arrive: Time::from_ps(num("arrive")?),
         },
         "msg_deliver" => TraceData::MsgDeliver {
-            src: num("src")? as u32,
-            dst: num("dst")? as u32,
+            src: num32("src")?,
+            dst: num32("dst")?,
             kind: label("kind")?,
             class: label("class")?,
             bytes: num("bytes")?,
         },
         "store_issue" => TraceData::StoreIssue {
-            core: num("core")? as u32,
+            core: num32("core")?,
             tid: num("tid")?,
             addr: num("addr")?,
-            bytes: num("bytes")? as u32,
-            release: num("release")? != 0,
+            bytes: num32("bytes")?,
+            release: flag("release")?,
             epoch: opt("epoch")?,
         },
         "store_commit" => TraceData::StoreCommit {
-            dir: num("dir")? as u32,
-            core: num("core")? as u32,
+            dir: num32("dir")?,
+            core: num32("core")?,
             tid: num("tid")?,
             addr: num("addr")?,
-            release: num("release")? != 0,
+            release: flag("release")?,
             epoch: opt("epoch")?,
         },
         "epoch_open" => TraceData::EpochOpen {
-            core: num("core")? as u32,
+            core: num32("core")?,
             epoch: num("epoch")?,
         },
         "epoch_close" => TraceData::EpochClose {
-            core: num("core")? as u32,
+            core: num32("core")?,
             epoch: num("epoch")?,
-            fanout: num("fanout")? as u32,
+            fanout: num32("fanout")?,
         },
         "notify_request" => TraceData::NotifyRequest {
-            core: num("core")? as u32,
-            pending_dir: num("pending_dir")? as u32,
-            dst_dir: num("dst_dir")? as u32,
+            core: num32("core")?,
+            pending_dir: num32("pending_dir")?,
+            dst_dir: num32("dst_dir")?,
             epoch: num("epoch")?,
         },
         "notify_arrive" => TraceData::NotifyArrive {
-            dir: num("dir")? as u32,
-            core: num("core")? as u32,
+            dir: num32("dir")?,
+            core: num32("core")?,
             epoch: num("epoch")?,
         },
         "table_insert" => TraceData::TableInsert {
             node: label("node")?,
-            id: num("id")? as u32,
+            id: num32("id")?,
             table: label("table")?,
             occ: num("occ")?,
             cap: num("cap")?,
         },
         "table_evict" => TraceData::TableEvict {
             node: label("node")?,
-            id: num("id")? as u32,
+            id: num32("id")?,
             table: label("table")?,
             occ: num("occ")?,
             cap: num("cap")?,
         },
         "table_stall_full" => TraceData::TableStallFull {
             node: label("node")?,
-            id: num("id")? as u32,
+            id: num32("id")?,
             table: label("table")?,
             cap: num("cap")?,
         },
         "stall_begin" => TraceData::StallBegin {
-            core: num("core")? as u32,
+            core: num32("core")?,
             cause: label("cause")?,
         },
         "stall_end" => TraceData::StallEnd {
-            core: num("core")? as u32,
+            core: num32("core")?,
             cause: label("cause")?,
             since: Time::from_ps(num("since")?),
         },
         "fault_inject" => TraceData::FaultInject {
-            src: num("src")? as u32,
-            dst: num("dst")? as u32,
+            src: num32("src")?,
+            dst: num32("dst")?,
             class: label("class")?,
             fault: label("fault")?,
             extra: Time::from_ps(num("extra")?),
         },
         "xport_retrans" => TraceData::XportRetrans {
-            src: num("src")? as u32,
-            dst: num("dst")? as u32,
+            src: num32("src")?,
+            dst: num32("dst")?,
             seq: num("seq")?,
-            attempt: num("attempt")? as u32,
+            attempt: num32("attempt")?,
         },
         "xport_dup_drop" => TraceData::XportDupDrop {
-            src: num("src")? as u32,
-            dst: num("dst")? as u32,
+            src: num32("src")?,
+            dst: num32("dst")?,
             seq: num("seq")?,
         },
         "crash_inject" => TraceData::CrashInject {
-            host: num("host")? as u32,
+            host: num32("host")?,
             kind: label("kind")?,
-            units: num("units")? as u32,
+            units: num32("units")?,
         },
         "recover_begin" => TraceData::RecoverBegin {
-            core: num("core")? as u32,
-            dir: num("dir")? as u32,
+            core: num32("core")?,
+            dir: num32("dir")?,
         },
         "recover_end" => TraceData::RecoverEnd {
-            core: num("core")? as u32,
+            core: num32("core")?,
             since: Time::from_ps(num("since")?),
-            sends: num("sends")? as u32,
+            sends: num32("sends")?,
         },
         "xport_stale_rej" => TraceData::XportStaleRej {
-            src: num("src")? as u32,
-            dst: num("dst")? as u32,
+            src: num32("src")?,
+            dst: num32("dst")?,
             seq: num("seq")?,
-            sess: num("sess")? as u32,
+            sess: num32("sess")?,
         },
         "stale_drop" => TraceData::StaleDrop {
-            dir: num("dir")? as u32,
-            core: num("core")? as u32,
+            dir: num32("dir")?,
+            core: num32("core")?,
             ep: num("ep")?,
             what: label("what")?,
         },
@@ -679,58 +685,54 @@ pub struct ProfCell {
 /// every JSON export.
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
-    classes: BTreeMap<&'static str, ProfCell>,
-    phases: BTreeMap<&'static str, ProfCell>,
+    classes: ProfCells,
+    phases: ProfCells,
+}
+
+type ProfCells = BTreeMap<&'static str, ProfCell>;
+
+fn add_cell(cells: &mut ProfCells, label: &'static str, count: u64, nanos: u64) {
+    let c = cells.entry(label).or_default();
+    c.count += count;
+    c.nanos += nanos;
+}
+
+fn cell_rows(cells: &ProfCells) -> Vec<(String, u64, u64)> {
+    cells
+        .iter()
+        .map(|(&k, c)| (k.to_string(), c.count, c.nanos))
+        .collect()
 }
 
 impl Profiler {
-    /// An empty profiler.
-    pub fn new() -> Self {
-        Profiler::default()
-    }
-
     /// Accounts `nanos` of host time to event class `label`.
     pub fn add_class(&mut self, label: &'static str, nanos: u64) {
-        let c = self.classes.entry(label).or_default();
-        c.count += 1;
-        c.nanos += nanos;
+        add_cell(&mut self.classes, label, 1, nanos);
     }
 
     /// Accounts `nanos` of host time to sharded-round phase `label`
     /// (`"execute"`, `"inbox_merge"`, `"barrier_wait"`).
     pub fn add_phase(&mut self, label: &'static str, nanos: u64) {
-        let c = self.phases.entry(label).or_default();
-        c.count += 1;
-        c.nanos += nanos;
+        add_cell(&mut self.phases, label, 1, nanos);
     }
 
     /// Folds `other`'s buckets into this profiler (partition → parent).
     pub fn merge(&mut self, other: &Profiler) {
-        for (k, v) in &other.classes {
-            let c = self.classes.entry(k).or_default();
-            c.count += v.count;
-            c.nanos += v.nanos;
-        }
-        for (k, v) in &other.phases {
-            let c = self.phases.entry(k).or_default();
-            c.count += v.count;
-            c.nanos += v.nanos;
+        for (mine, theirs) in [
+            (&mut self.classes, &other.classes),
+            (&mut self.phases, &other.phases),
+        ] {
+            for (k, c) in theirs {
+                add_cell(mine, k, c.count, c.nanos);
+            }
         }
     }
 
     /// Snapshots the accumulated buckets.
     pub fn summary(&self) -> ProfileSummary {
         ProfileSummary {
-            classes: self
-                .classes
-                .iter()
-                .map(|(&k, c)| (k.to_string(), c.count, c.nanos))
-                .collect(),
-            phases: self
-                .phases
-                .iter()
-                .map(|(&k, c)| (k.to_string(), c.count, c.nanos))
-                .collect(),
+            classes: cell_rows(&self.classes),
+            phases: cell_rows(&self.phases),
         }
     }
 }
@@ -748,11 +750,6 @@ impl ProfileSummary {
     /// Whether nothing was profiled.
     pub fn is_empty(&self) -> bool {
         self.classes.is_empty() && self.phases.is_empty()
-    }
-
-    /// Total profiled host nanoseconds across event classes.
-    pub fn total_class_nanos(&self) -> u64 {
-        self.classes.iter().map(|(_, _, ns)| ns).sum()
     }
 
     /// Renders collapsed-stack lines (`cord;event;<class> <nanos>`)
@@ -790,17 +787,12 @@ impl ProfileSummary {
 /// file on the first write of this process so repeated runs within one
 /// process accumulate while a fresh process starts clean.
 pub fn write_folded(path: &str, summary: &ProfileSummary) -> std::io::Result<()> {
-    static TRUNCATED: OnceLock<Mutex<std::collections::HashSet<String>>> = OnceLock::new();
+    static TRUNCATED: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
     let first = TRUNCATED
-        .get_or_init(Default::default)
         .lock()
         .expect("folded path set poisoned")
         .insert(path.to_string());
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
+    create_parent(path)?;
     use std::io::Write;
     let mut f = std::fs::OpenOptions::new()
         .create(true)
@@ -981,7 +973,7 @@ mod tests {
         assert_eq!(a.interval_ps, 100);
         let keys: Vec<&str> = a.series.keys().map(String::as_str).collect();
         assert_eq!(keys, vec!["p0.q", "p1.q"]);
-        assert_eq!(a.samples(), 2);
+        assert_eq!(a.series.values().map(Vec::len).sum::<usize>(), 2);
     }
 
     #[test]
@@ -1169,15 +1161,28 @@ mod tests {
         assert!(parse_flight("not a flight file").is_err());
         assert!(parse_flight("# cord-flight v1\n0 1 2 bogus_kind a=1").is_err());
         assert!(parse_flight("# cord-flight v1\n0 1 2 epoch_open core=0").is_err());
+        // Out-of-range fields are rejected, not truncated or coerced.
+        let err = parse_flight("# cord-flight v1\n0 1 2 epoch_open core=4294967296 epoch=0")
+            .expect_err("u32 overflow");
+        assert!(err.contains("field core"), "{err}");
+        let store = |release: &str| {
+            format!(
+                "# cord-flight v1\n0 1 2 store_issue core=0 tid=1 addr=64 bytes=8 \
+                 release={release} epoch=-"
+            )
+        };
+        assert!(parse_flight(&store("1")).is_ok());
+        let err = parse_flight(&store("7")).expect_err("release must be 0 or 1");
+        assert!(err.contains("field release"), "{err}");
     }
 
     #[test]
     fn profiler_merges_and_renders() {
-        let mut p = Profiler::new();
+        let mut p = Profiler::default();
         p.add_class("deliver", 100);
         p.add_class("deliver", 50);
         p.add_phase("execute", 1000);
-        let mut q = Profiler::new();
+        let mut q = Profiler::default();
         q.add_class("core_step", 30);
         q.add_phase("execute", 500);
         p.merge(&q);
@@ -1190,7 +1195,6 @@ mod tests {
             ]
         );
         assert_eq!(s.phases, vec![("execute".to_string(), 2, 1500)]);
-        assert_eq!(s.total_class_nanos(), 180);
         let folded = s.collapsed();
         assert!(folded.contains("cord;event;deliver 150\n"), "{folded}");
         assert!(folded.contains("cord;round;execute 1500\n"), "{folded}");

@@ -16,12 +16,18 @@
 //!   (store-commit latency, notification fan-out), summarized by
 //!   [`MetricsSnapshot`].
 //!
-//! Instrumentation points hold a [`Tracer`], which is a pair of `Option`s:
-//! when nothing is installed, every emission compiles to a branch on `None`
-//! and the event value is never even constructed (callers pass closures via
+//! Instrumentation points hold a [`Tracer`], the run's one observer set: the
+//! event consumers above plus a coverage map, a flight ring, and the
+//! [`obs`] sampler and profiler, each an `Option`. When no event
+//! consumer is installed, every emission compiles to a branch on `None` and
+//! the event value is never even constructed (callers pass closures via
 //! [`Tracer::emit_with`] or receive `Option<&mut Tracer>` and skip work when
-//! it is `None`). Event payloads use plain integers and `&'static str`
-//! labels so this bottom-layer crate needs no protocol types.
+//! it is `None`). The tracer also parses the observability knobs
+//! ([`Tracer::from_env`]), forks and merges itself across the sharded
+//! engine's partitions ([`Tracer::fork`], [`Tracer::absorb`]) and writes the
+//! requested files at the end of a run ([`Tracer::write_outputs`]). Event
+//! payloads use plain integers and `&'static str` labels so this
+//! bottom-layer crate needs no protocol types.
 //!
 //! Determinism: emission order follows the (deterministic) event loop, all
 //! payloads are integers, and timestamps are formatted with exact integer
@@ -44,6 +50,7 @@ use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::coverage::CoverageMap;
+use crate::obs::{self, ProfileSummary, Profiler, Sampler, SeriesSet};
 use crate::stats::Histogram;
 use crate::time::Time;
 
@@ -478,19 +485,14 @@ pub trait TraceSink {
 
     /// Finalizes output (e.g. closes a JSON array). Called once at drain.
     fn flush(&mut self) {}
-
-    /// Downcast hook so owners of a boxed sink can recover a concrete type
-    /// (see [`BufSink`]). Sinks that never need recovery keep the default.
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        None
-    }
 }
 
-/// The instrumentation handle held by the system runner.
+/// A run's one observer set, held by the system runner.
 ///
-/// Holds at most one [`TraceSink`] plus an optional [`MetricsRecorder`];
-/// both are `None` by default, so disabled tracing costs one branch per
-/// emission site.
+/// Every observer is `None` by default. [`enabled`](Tracer::enabled) checks
+/// only the event consumers (sink, metrics, coverage, flight ring, and a
+/// partition's replay buffer), so disabled tracing costs one branch per
+/// emission site; the sampler and profiler read the loop, not the events.
 #[derive(Default)]
 pub struct Tracer {
     sink: Option<Box<dyn TraceSink + Send>>,
@@ -498,10 +500,19 @@ pub struct Tracer {
     /// Coverage map fed from the same event stream (see
     /// [`cord_sim::coverage`](crate::coverage)).
     coverage: Option<CoverageMap>,
-    /// Flight recorder: a bounded ring of the most recent events, dumped
-    /// by the runner on `RunError` (see `cord_sim::obs`).
+    /// Flight recorder: a bounded ring of the most recent events.
     flight: Option<RingSink>,
+    /// A partition's events, kept for the parent's merged replay.
+    replay: Option<Vec<TraceEvent>>,
     seq: u64,
+    sampler: Option<Box<Sampler>>,
+    profiler: Option<Box<Profiler>>,
+    /// The last run's flight rings, keyed by partition.
+    flight_rings: Vec<(u32, RingSink)>,
+    /// Files for [`Tracer::write_outputs`], parsed by [`Tracer::from_env`].
+    obs_out: Option<String>,
+    profile_out: Option<String>,
+    flight_out: Option<String>,
 }
 
 impl std::fmt::Debug for Tracer {
@@ -512,13 +523,25 @@ impl std::fmt::Debug for Tracer {
             .field("coverage", &self.coverage.is_some())
             .field("flight", &self.flight.as_ref().map(|r| r.capacity()))
             .field("seq", &self.seq)
+            .field("sampler", &self.sampler.as_ref().map(|s| s.interval()))
             .finish()
     }
 }
 
-/// Process-wide count of tracers built from the environment, used to suffix
-/// trace files when one process runs many simulations (e.g. a sweep).
+/// Process-wide counts of trace and series files written from the
+/// environment, used to suffix them when one process runs many simulations
+/// (e.g. a sweep).
 static ENV_TRACERS: AtomicU64 = AtomicU64::new(0);
+static ENV_OBS: AtomicU64 = AtomicU64::new(0);
+
+/// `base` for a process's first file of one kind, `base.N` for the N-th
+/// later one.
+fn numbered(count: &AtomicU64, base: String) -> String {
+    match count.fetch_add(1, Ordering::Relaxed) {
+        0 => base,
+        n => format!("{base}.{n}"),
+    }
+}
 
 impl Tracer {
     /// A tracer with nothing installed (all emissions are no-ops).
@@ -534,45 +557,65 @@ impl Tracer {
         }
     }
 
-    /// Builds a tracer from `CORD_TRACE` / `CORD_TRACE_OUT`.
-    ///
-    /// When `CORD_TRACE` is set (and not `0`), installs a
-    /// [`ChromeTraceWriter`] streaming to `CORD_TRACE_OUT` (default
-    /// `results/cord_trace.json`) and attaches a [`MetricsRecorder`]. When a
-    /// process builds several env tracers (a sweep), later trace files get a
-    /// `.N` suffix so each run keeps its own file. Returns a disabled tracer
-    /// otherwise.
+    /// Builds the observer set from the environment, the one place the
+    /// observability knobs are read. The four switches share one off rule:
+    /// unset, empty, or `0` after trimming. `CORD_TRACE` streams a
+    /// [`ChromeTraceWriter`] to `CORD_TRACE_OUT` and attaches a
+    /// [`MetricsRecorder`]; `CORD_OBS` samples every µs (`1`) or `n` ns,
+    /// written to `CORD_OBS_OUT`; `CORD_PROFILE` profiles into
+    /// `CORD_PROFILE_OUT`; `CORD_FLIGHT` keeps the last 256 (`1`) or `n`
+    /// events, dumped on failure to `CORD_FLIGHT_OUT`. Later trace and
+    /// series files of one process get a `.N` suffix.
     pub fn from_env() -> Self {
-        match std::env::var("CORD_TRACE") {
-            Ok(v) if !v.is_empty() && v != "0" => {}
-            _ => return Tracer::disabled(),
-        }
-        let base = std::env::var("CORD_TRACE_OUT")
-            .unwrap_or_else(|_| "results/cord_trace.json".to_string());
-        let n = ENV_TRACERS.fetch_add(1, Ordering::Relaxed);
-        let path = if n == 0 { base } else { format!("{base}.{n}") };
-        if let Some(dir) = std::path::Path::new(&path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
+        Self::from_lookup(|k| std::env::var(k).ok())
+    }
+
+    /// [`Tracer::from_env`] over `get` (knob name → value), so the parser is
+    /// testable without touching the process environment.
+    fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Self {
+        let on = |k: &str| {
+            get(k)
+                .map(|v| v.trim().to_string())
+                .filter(|v| !v.is_empty() && v != "0")
+        };
         let mut tr = Tracer::disabled();
-        match ChromeTraceWriter::create(&path) {
-            Ok(w) => tr.install(Box::new(w)),
-            Err(e) => eprintln!("CORD_TRACE: cannot open {path}: {e}"),
+        if on("CORD_TRACE").is_some() {
+            let base = get("CORD_TRACE_OUT").unwrap_or_else(|| "results/cord_trace.json".into());
+            let path = numbered(&ENV_TRACERS, base);
+            match ChromeTraceWriter::create(&path) {
+                Ok(w) => tr.install(Box::new(w)),
+                Err(e) => eprintln!("CORD_TRACE: cannot open {path}: {e}"),
+            }
+            tr.attach_metrics(MetricsRecorder::default());
         }
-        tr.attach_metrics(MetricsRecorder::default());
+        if let Some(v) = on("CORD_OBS") {
+            tr.set_sampling(Some(match v.parse() {
+                Ok(ns) if ns != 1 => Time::from_ns(ns),
+                _ => Time::from_us(1),
+            }));
+        }
+        tr.obs_out = get("CORD_OBS_OUT").filter(|p| !p.is_empty());
+        if on("CORD_PROFILE").is_some() {
+            tr.set_profiling(true);
+            tr.profile_out =
+                Some(get("CORD_PROFILE_OUT").unwrap_or_else(|| "results/PROFILE.folded".into()));
+        }
+        let flight = on("CORD_FLIGHT");
+        if let Some(v) = &flight {
+            tr.arm_flight(match v.parse() {
+                Ok(1) | Err(_) => 256,
+                Ok(n) => n,
+            });
+        }
+        tr.flight_out = get("CORD_FLIGHT_OUT")
+            .filter(|p| !p.trim().is_empty())
+            .or_else(|| flight.map(|_| "results/FLIGHT_last.txt".into()));
         tr
     }
 
     /// Installs (or replaces) the sink.
     pub fn install(&mut self, sink: Box<dyn TraceSink + Send>) {
         self.sink = Some(sink);
-    }
-
-    /// Removes and returns the sink, if installed. Used by the sharded
-    /// runner to recover a [`BufSink`]'s buffered events after a partition
-    /// finishes.
-    pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink + Send>> {
-        self.sink.take()
     }
 
     /// Attaches (or replaces) the metrics recorder.
@@ -601,39 +644,36 @@ impl Tracer {
         self.flight = Some(RingSink::new(cap));
     }
 
-    /// Whether the flight recorder is armed.
-    pub fn flight_armed(&self) -> bool {
-        self.flight.is_some()
+    /// Arms (or disarms) sim-time sampling on an `interval`-wide grid.
+    pub fn set_sampling(&mut self, interval: Option<Time>) {
+        self.sampler = interval.map(|i| Box::new(Sampler::new(i)));
     }
 
-    /// The flight ring's capacity, when armed (used by the sharded runner
-    /// to mirror the parent's arming into each partition).
-    pub fn flight_cap(&self) -> Option<usize> {
-        self.flight.as_ref().map(RingSink::capacity)
+    /// Arms (or disarms) the wall-clock self-profiler.
+    pub fn set_profiling(&mut self, on: bool) {
+        self.profiler = on.then(Box::default);
     }
 
-    /// Removes and returns the flight ring, if armed.
-    pub fn take_flight(&mut self) -> Option<RingSink> {
-        self.flight.take()
+    /// The sampler, when sampling is armed.
+    #[inline]
+    pub fn sampler_mut(&mut self) -> Option<&mut Sampler> {
+        self.sampler.as_deref_mut()
     }
 
-    /// Whether any consumer is installed.
+    /// The profiler, when profiling is armed.
+    #[inline]
+    pub fn profiler_mut(&mut self) -> Option<&mut Profiler> {
+        self.profiler.as_deref_mut()
+    }
+
+    /// Whether any event consumer is installed.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.sink.is_some()
             || self.metrics.is_some()
             || self.coverage.is_some()
             || self.flight.is_some()
-    }
-
-    /// Whether a sink, metrics recorder or coverage map is installed,
-    /// ignoring the flight ring. The sharded runner's trace-merge machinery
-    /// keys on this: those consumers need the deterministic merged replay,
-    /// while a run armed only for flight recording needs no per-partition
-    /// replay buffers (each partition keeps its own ring).
-    #[inline]
-    pub fn needs_merged_replay(&self) -> bool {
-        self.sink.is_some() || self.metrics.is_some() || self.coverage.is_some()
+            || self.replay.is_some()
     }
 
     /// `Some(self)` when enabled — the shape instrumented code threads
@@ -664,6 +704,9 @@ impl Tracer {
         if let Some(f) = self.flight.as_mut() {
             f.emit(&ev);
         }
+        if let Some(r) = self.replay.as_mut() {
+            r.push(ev);
+        }
         if let Some(s) = self.sink.as_mut() {
             s.emit(&ev);
         }
@@ -690,9 +733,105 @@ impl Tracer {
         self.metrics.take()
     }
 
-    /// The attached metrics recorder, if any.
-    pub fn metrics(&self) -> Option<&MetricsRecorder> {
-        self.metrics.as_ref()
+    /// Removes and returns the sampled series, if sampling was armed.
+    pub fn take_series(&mut self) -> Option<SeriesSet> {
+        self.sampler.take().map(|s| s.finish())
+    }
+
+    /// Removes and returns the profile, if profiling was armed.
+    pub fn take_profile(&mut self) -> Option<ProfileSummary> {
+        self.profiler.take().map(|p| p.summary())
+    }
+
+    /// Removes and returns the flight rings the last run left (see
+    /// [`Tracer::absorb`]).
+    pub fn take_flight_rings(&mut self) -> Vec<(u32, RingSink)> {
+        std::mem::take(&mut self.flight_rings)
+    }
+
+    /// A sharded partition's observer set: a replay buffer when a sink,
+    /// metrics or coverage consumes the merged stream, a flight ring of the
+    /// same capacity, a fresh sampler on the same grid, a fresh profiler.
+    pub fn fork(&self) -> Tracer {
+        let replay = self.sink.is_some() || self.metrics.is_some() || self.coverage.is_some();
+        Tracer {
+            replay: replay.then(Vec::new),
+            flight: self.flight.as_ref().map(|r| RingSink::new(r.capacity())),
+            sampler: self
+                .sampler
+                .as_ref()
+                .map(|s| Box::new(Sampler::new(s.interval()))),
+            profiler: self.profiler.as_ref().map(|_| Box::default()),
+            ..Tracer::default()
+        }
+    }
+
+    /// Merges the partitions' observer sets, `parts` in host order (empty
+    /// when this set observed the run itself, its ring then partition 0):
+    /// replays their events in `(time, partition, emission index)` order,
+    /// reassigning global sequence numbers; keys flight rings by partition;
+    /// absorbs series under `p<host>.`; merges the profilers.
+    pub fn absorb(&mut self, parts: Vec<Tracer>) {
+        if parts.is_empty() {
+            self.flight_rings.extend(self.flight.take().map(|r| (0, r)));
+        }
+        let mut merged: Vec<(Time, usize, usize, TraceEvent)> = Vec::new();
+        for (h, part) in parts.into_iter().enumerate() {
+            let events = part.replay.into_iter().flatten().enumerate();
+            merged.extend(events.map(|(i, ev)| (ev.at, h, i, ev)));
+            self.flight_rings.extend(part.flight.map(|r| (h as u32, r)));
+            if let (Some(into), Some(s)) = (self.sampler.as_deref_mut(), part.sampler) {
+                into.absorb_prefixed(&format!("p{h}."), s.finish());
+            }
+            if let (Some(into), Some(p)) = (self.profiler.as_deref_mut(), part.profiler) {
+                into.merge(&p);
+            }
+        }
+        merged.sort_by_key(|&(t, h, i, _)| (t, h, i));
+        for (_, _, _, ev) in merged {
+            self.emit(ev.at, ev.data);
+        }
+    }
+
+    /// The run's one exit writer, for the files [`Tracer::from_env`] was
+    /// asked for: on success (`error` is `None`) the series with the
+    /// metrics as JSON plus a `.prom` sibling, and the profile's collapsed
+    /// stacks; on failure the flight dump headed by `error`.
+    pub fn write_outputs(
+        &self,
+        error: Option<&str>,
+        series: Option<&SeriesSet>,
+        metrics: Option<&MetricsSnapshot>,
+        profile: Option<&ProfileSummary>,
+    ) {
+        if let (Some(err), Some(path)) = (error, &self.flight_out) {
+            if !self.flight_rings.is_empty() {
+                let kept: usize = self.flight_rings.iter().map(|(_, r)| r.len()).sum();
+                match obs::write_output(path, &obs::render_flight(err, &self.flight_rings)) {
+                    Ok(()) => eprintln!(
+                        "flight recorder: dumped {kept} event(s) to {path} (replay: trace --flight {path})"
+                    ),
+                    Err(e) => eprintln!("flight recorder: cannot write {path}: {e}"),
+                }
+            }
+        }
+        if let (Some(set), Some(base)) = (series, &self.obs_out) {
+            let path = numbered(&ENV_OBS, base.clone());
+            let prom = format!("{path}.prom");
+            for (p, text) in [
+                (&path, obs::render_json(set, metrics)),
+                (&prom, obs::render_prometheus(set, metrics)),
+            ] {
+                if let Err(e) = obs::write_output(p, &text) {
+                    eprintln!("CORD_OBS_OUT: cannot write {p}: {e}");
+                }
+            }
+        }
+        if let (Some(p), Some(path)) = (profile, &self.profile_out) {
+            if let Err(e) = obs::write_folded(path, p) {
+                eprintln!("CORD_PROFILE_OUT: cannot write {path}: {e}");
+            }
+        }
     }
 }
 
@@ -805,45 +944,6 @@ impl<S: TraceSink> TraceSink for Shared<S> {
     }
 }
 
-/// An unbounded in-memory sink that simply appends every event.
-///
-/// The sharded runner installs one per partition: each partition records its
-/// events locally (with partition-local sequence numbers), and the merge
-/// step recovers the buffers through [`TraceSink::as_any_mut`] /
-/// [`Tracer::take_sink`] and replays them, in deterministic merged order,
-/// through the run's real tracer.
-#[derive(Debug, Default)]
-pub struct BufSink {
-    events: Vec<TraceEvent>,
-}
-
-impl BufSink {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        BufSink::default()
-    }
-
-    /// The buffered events, in emission order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Takes the buffered events out, leaving the sink empty.
-    pub fn take(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
-    }
-}
-
-impl TraceSink for BufSink {
-    fn emit(&mut self, ev: &TraceEvent) {
-        self.events.push(*ev);
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-}
-
 /// Formats picoseconds as microseconds with six exact decimal digits
 /// (1 µs = 10⁶ ps), keeping trace files byte-deterministic: no float
 /// formatting is involved.
@@ -868,8 +968,10 @@ pub struct ChromeTraceWriter<W: Write> {
 }
 
 impl ChromeTraceWriter<io::BufWriter<std::fs::File>> {
-    /// Creates a writer streaming to a new file at `path`.
+    /// Creates a writer streaming to a new file at `path`, creating parent
+    /// directories as needed.
     pub fn create(path: &str) -> io::Result<Self> {
+        crate::obs::create_parent(path)?;
         Ok(Self::new(io::BufWriter::new(std::fs::File::create(path)?)))
     }
 }
@@ -1220,7 +1322,7 @@ impl MetricsRecorder {
         }
     }
 
-    /// Consumes one event (also reachable through the [`TraceSink`] impl).
+    /// Consumes one event.
     pub fn observe(&mut self, ev: &TraceEvent) {
         *self.counts.entry(ev.data.kind_name()).or_insert(0) += 1;
         match ev.data {
@@ -1269,16 +1371,6 @@ impl MetricsRecorder {
         }
     }
 
-    /// The per-table occupancy timelines, keyed `"<node><id>.<table>"`.
-    pub fn occupancy(&self) -> &BTreeMap<String, Timeline> {
-        &self.occupancy
-    }
-
-    /// The in-flight-store timeline.
-    pub fn inflight_timeline(&self) -> &Timeline {
-        &self.inflight_timeline
-    }
-
     /// Summarizes everything recorded so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -1308,12 +1400,6 @@ impl MetricsRecorder {
                 )))
                 .collect(),
         }
-    }
-}
-
-impl TraceSink for MetricsRecorder {
-    fn emit(&mut self, ev: &TraceEvent) {
-        self.observe(ev);
     }
 }
 
@@ -1772,6 +1858,143 @@ mod tests {
         assert!(line.contains("st.rel"), "{line}");
         assert!(line.contains("ep=4"), "{line}");
         assert!(line.contains("1500.000 ns"), "{line}");
+    }
+
+    /// A knob lookup over fixed pairs, so the parser is tested without
+    /// touching the process environment.
+    fn lookup<'a>(pairs: &'a [(&str, &str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |k| {
+            pairs
+                .iter()
+                .find(|(n, _)| *n == k)
+                .map(|(_, v)| v.to_string())
+        }
+    }
+
+    #[test]
+    fn from_lookup_shares_one_off_rule() {
+        for off in ["", "0", " 0 ", "  "] {
+            let pairs = [
+                ("CORD_TRACE", off),
+                ("CORD_OBS", off),
+                ("CORD_PROFILE", off),
+                ("CORD_FLIGHT", off),
+                ("CORD_PROFILE_OUT", "unused.folded"),
+            ];
+            let tr = Tracer::from_lookup(lookup(&pairs));
+            assert!(!tr.enabled(), "{off:?} must leave every consumer off");
+            assert!(tr.sampler.is_none() && tr.profiler.is_none(), "{off:?}");
+            assert_eq!(tr.profile_out, None, "{off:?} must not write a profile");
+            assert_eq!(tr.flight_out, None, "{off:?}");
+        }
+        let tr = Tracer::from_lookup(lookup(&[]));
+        assert!(!tr.enabled() && tr.sampler.is_none() && tr.profiler.is_none());
+        assert_eq!(tr.obs_out, None);
+    }
+
+    #[test]
+    fn from_lookup_parses_values_and_paths() {
+        let interval = |v: &str| {
+            let tr = Tracer::from_lookup(lookup(&[("CORD_OBS", v)]));
+            tr.sampler.as_ref().map(|s| s.interval())
+        };
+        assert_eq!(interval("1"), Some(Time::from_us(1)));
+        assert_eq!(interval(" 250 "), Some(Time::from_ns(250)));
+        assert_eq!(interval("fast"), Some(Time::from_us(1)));
+        let cap = |v: &str| {
+            let tr = Tracer::from_lookup(lookup(&[("CORD_FLIGHT", v)]));
+            assert_eq!(tr.flight_out.as_deref(), Some("results/FLIGHT_last.txt"));
+            tr.flight.as_ref().map(RingSink::capacity)
+        };
+        assert_eq!(cap("1"), Some(256));
+        assert_eq!(cap("32"), Some(32));
+        assert_eq!(cap("lots"), Some(256));
+        let tr = Tracer::from_lookup(lookup(&[
+            ("CORD_PROFILE", " 1"),
+            ("CORD_OBS_OUT", "o.json"),
+            ("CORD_FLIGHT_OUT", "f.txt"),
+        ]));
+        assert!(tr.profiler.is_some());
+        assert_eq!(tr.profile_out.as_deref(), Some("results/PROFILE.folded"));
+        assert_eq!(tr.obs_out.as_deref(), Some("o.json"));
+        // An explicit dump path serves a ring armed programmatically.
+        assert_eq!(tr.flight_out.as_deref(), Some("f.txt"));
+        assert!(tr.flight.is_none());
+        let tr = Tracer::from_lookup(lookup(&[
+            ("CORD_PROFILE", "yes"),
+            ("CORD_PROFILE_OUT", "p.folded"),
+        ]));
+        assert_eq!(tr.profile_out.as_deref(), Some("p.folded"));
+    }
+
+    #[test]
+    fn from_lookup_trace_switch_opens_writer() {
+        let dir = std::env::temp_dir().join(format!("cord-trace-lookup-{}", std::process::id()));
+        let out = dir.join("t.json");
+        let out = out.to_str().expect("utf-8 temp path");
+        let tr = Tracer::from_lookup(lookup(&[("CORD_TRACE", " 1 "), ("CORD_TRACE_OUT", out)]));
+        assert!(tr.sink.is_some() && tr.metrics.is_some());
+        drop(tr);
+        std::fs::remove_dir_all(&dir).expect("trace file written under its directory");
+    }
+
+    #[test]
+    fn fork_and_absorb_merge_every_observer() {
+        let ring = Shared::new(RingSink::new(64));
+        let mut parent = Tracer::with_sink(Box::new(ring.clone()));
+        parent.arm_flight(4);
+        parent.set_sampling(Some(Time::from_ns(10)));
+        parent.set_profiling(true);
+        let mut parts = vec![parent.fork(), parent.fork()];
+        for (h, p) in parts.iter_mut().enumerate() {
+            assert!(p.enabled() && p.sink.is_none() && p.flight_out.is_none());
+            for t in [5, 1] {
+                p.emit(
+                    Time::from_ns(t),
+                    TraceData::EpochOpen {
+                        core: h as u32,
+                        epoch: t,
+                    },
+                );
+            }
+            let s = p.sampler_mut().expect("sampler forked");
+            assert_eq!(s.interval(), Time::from_ns(10));
+            s.record("q", 0, h as u64);
+            p.profiler_mut()
+                .expect("profiler forked")
+                .add_class("deliver", 7);
+        }
+        parent.absorb(parts);
+        let order: Vec<(u64, u32, u64)> = ring.with(|r| {
+            r.events()
+                .map(|e| match e.data {
+                    TraceData::EpochOpen { core, .. } => (e.at.as_ns(), core, e.seq),
+                    _ => unreachable!(),
+                })
+                .collect()
+        });
+        // Time first, then partition, then emission index; fresh global seqs.
+        assert_eq!(order, vec![(1, 0, 0), (1, 1, 1), (5, 0, 2), (5, 1, 3)]);
+        let rings = parent.take_flight_rings();
+        let keys: Vec<(u32, usize)> = rings.iter().map(|(p, r)| (*p, r.len())).collect();
+        assert_eq!(keys, vec![(0, 2), (1, 2)]);
+        let series = parent.take_series().expect("series");
+        let names: Vec<&str> = series.series.keys().map(String::as_str).collect();
+        assert_eq!(names, vec!["p0.q", "p1.q"]);
+        let profile = parent.take_profile().expect("profile");
+        assert_eq!(profile.classes, vec![("deliver".to_string(), 2, 14)]);
+    }
+
+    #[test]
+    fn absorb_without_parts_keys_own_ring_as_partition_zero() {
+        let mut tr = Tracer::disabled();
+        tr.arm_flight(8);
+        tr.emit(Time::ZERO, TraceData::EpochOpen { core: 0, epoch: 0 });
+        tr.absorb(Vec::new());
+        assert!(!tr.enabled(), "the ring moved out of the live set");
+        let rings = tr.take_flight_rings();
+        assert_eq!(rings.len(), 1);
+        assert_eq!((rings[0].0, rings[0].1.len()), (0, 1));
     }
 
     #[test]

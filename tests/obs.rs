@@ -7,8 +7,9 @@
 use cord_repro::cord::{RunResult, System};
 use cord_repro::cord_check::{classic_suite, explore_with, CheckConfig, ExploreOpts};
 use cord_repro::cord_proto::{ConsistencyModel, Program, ProtocolKind, SystemConfig};
-use cord_repro::cord_sim::obs::{self, SeriesSet};
-use cord_repro::cord_sim::trace::MetricsRecorder;
+use cord_repro::cord_sim::coverage::CoverageMap;
+use cord_repro::cord_sim::obs::{self, ProfileSummary, SeriesSet};
+use cord_repro::cord_sim::trace::{render_event, MetricsRecorder, RingSink, Shared};
 use cord_repro::cord_sim::{par, Time};
 use cord_repro::cord_workloads::MicroBench;
 
@@ -78,6 +79,72 @@ fn series_identical_across_sweep_parallelism() {
         run_all(2),
         "series depended on sweep parallelism"
     );
+}
+
+/// Everything one fully armed run observed, rendered for comparison.
+struct Observed {
+    trace: Vec<String>,
+    metrics: String,
+    coverage: String,
+    series: String,
+    flight: String,
+    profile: ProfileSummary,
+}
+
+/// Arms every observer at once — sink, metrics, coverage, flight ring,
+/// sampling and profiling — and runs through the sharded engine, so each
+/// one goes through the partition fork and the merge.
+fn run_fully_observed(workers: usize) -> Observed {
+    let mut sys = sampled_system(4);
+    sys.set_sim_threads(Some(workers));
+    sys.set_profiling(true);
+    let ring = Shared::new(RingSink::new(usize::MAX));
+    sys.tracer_mut().install(Box::new(ring.clone()));
+    sys.tracer_mut().attach_metrics(MetricsRecorder::default());
+    sys.tracer_mut().attach_coverage(CoverageMap::new());
+    sys.tracer_mut().arm_flight(32);
+    let r = sys.try_run().expect("fully observed run");
+    let series = r.obs.as_ref().expect("sampling armed");
+    Observed {
+        trace: ring.with(|r| r.events().map(render_event).collect()),
+        metrics: r.metrics.as_ref().expect("metrics attached").render_text(),
+        coverage: sys.tracer_mut().take_coverage().expect("coverage").render(),
+        series: obs::render_json(series, r.metrics.as_ref()),
+        flight: obs::render_flight("", &sys.take_flight_rings()),
+        profile: r.profile.expect("profiling armed"),
+    }
+}
+
+/// With all six observers armed together, every deterministic output is
+/// identical at 1, 2 and 4 workers, and the merged profile holds both the
+/// per-event classes and the per-round phases.
+#[test]
+fn all_observers_armed_identical_across_sim_workers() {
+    let base = run_fully_observed(1);
+    assert!(!base.trace.is_empty(), "no trace events");
+    assert!(!base.coverage.is_empty(), "no coverage");
+    assert!(base.flight.contains("# partition 3:"), "{}", base.flight);
+    let has = |rows: &[(String, u64, u64)], label: &str| rows.iter().any(|(k, _, _)| k == label);
+    assert!(
+        has(&base.profile.classes, "core_step"),
+        "{:?}",
+        base.profile
+    );
+    assert!(has(&base.profile.phases, "execute"), "{:?}", base.profile);
+    for workers in [2, 4] {
+        let got = run_fully_observed(workers);
+        assert_eq!(base.trace, got.trace, "trace diverged at {workers} workers");
+        assert_eq!(base.metrics, got.metrics, "metrics diverged at {workers}");
+        assert_eq!(
+            base.coverage, got.coverage,
+            "coverage diverged at {workers}"
+        );
+        assert_eq!(base.series, got.series, "series diverged at {workers}");
+        assert_eq!(
+            base.flight, got.flight,
+            "flight rings diverged at {workers}"
+        );
+    }
 }
 
 /// Pins the Prometheus text exposition byte-for-byte. Regenerate with

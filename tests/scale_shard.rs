@@ -9,7 +9,7 @@
 use cord_repro::cord::{RunResult, System};
 use cord_repro::cord_noc::{Fabric, NocConfig};
 use cord_repro::cord_proto::{ConsistencyModel, ProtocolKind, SystemConfig};
-use cord_repro::cord_sim::trace::{render_event, BufSink, MetricsRecorder};
+use cord_repro::cord_sim::trace::{render_event, MetricsRecorder, RingSink, Shared};
 use cord_repro::cord_workloads::KvSpec;
 
 /// A small KV tier: one client per host keeps 64-host traced runs fast
@@ -65,16 +65,12 @@ fn run_with_workers(mut sys: System, workers: usize) -> RunResult {
 /// plus the rendered metrics report.
 fn traced_run(mut sys: System, workers: usize) -> (Vec<String>, String) {
     sys.set_sim_threads(Some(workers));
-    sys.tracer_mut().install(Box::new(BufSink::new()));
+    let ring = Shared::new(RingSink::new(usize::MAX));
+    sys.tracer_mut().install(Box::new(ring.clone()));
     sys.tracer_mut().attach_metrics(MetricsRecorder::default());
     let r = sys.try_run().expect("traced sharded run");
     let metrics = r.metrics.expect("metrics recorded").render_text();
-    let mut sink = sys.tracer_mut().take_sink().expect("sink back");
-    let buf = sink
-        .as_any_mut()
-        .and_then(|a| a.downcast_mut::<BufSink>())
-        .expect("BufSink");
-    let lines = buf.take().iter().map(render_event).collect();
+    let lines = ring.with(|r| r.events().map(render_event).collect());
     (lines, metrics)
 }
 
