@@ -584,5 +584,13 @@ mod tests {
         assert!(parse(&sc).unwrap_err().contains("unknown directive"));
         let orphan = "cord-fuzz repro v1\nengine CORD\nhosts 2\ntph 2\nround 1:0\n";
         assert!(parse(orphan).unwrap_err().contains("before any pair"));
+        // Out-of-range fabric numbers are errors, not truncations or panics.
+        for fabric in [
+            "fabric pods 4294967298 200 600\n",
+            "fabric dragonfly 2 200 18446744073709552\n",
+        ] {
+            let text = format!("{}{fabric}", two_pair().serialize(None));
+            assert!(parse(&text).unwrap_err().contains("fabric"), "{fabric}");
+        }
     }
 }
