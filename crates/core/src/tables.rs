@@ -6,8 +6,12 @@
 //! tracked so experiments can report exactly the storage the paper's
 //! Figs. 11/12 and Table 3 report, and insertion beyond capacity is an
 //! explicit, checkable condition — the protocol *stalls* instead of growing.
-
-use std::collections::BTreeMap;
+//!
+//! Entries live in one key-sorted vector: lookups are a binary search,
+//! inserts and removes shift the tail, and [`LookupTable::clear`] keeps the
+//! allocation. Live entries are few, so the shifts are short memmoves, and
+//! the per-epoch clear-then-refill cycle of a store counter allocates
+//! nothing once the vector has grown to its working size.
 
 /// A capacity-bounded, byte-accounted lookup table.
 ///
@@ -26,7 +30,8 @@ use std::collections::BTreeMap;
 /// ```
 #[derive(Debug, Clone)]
 pub struct LookupTable<K: Ord, V> {
-    entries: BTreeMap<K, V>,
+    /// Live entries in ascending key order, keys unique.
+    entries: Vec<(K, V)>,
     capacity: usize,
     entry_bytes: u64,
     peak_entries: usize,
@@ -42,11 +47,23 @@ impl<K: Ord, V> LookupTable<K, V> {
     pub fn new(capacity: usize, entry_bytes: u64) -> Self {
         assert!(capacity >= 1, "tables need at least one entry");
         LookupTable {
-            entries: BTreeMap::new(),
+            entries: Vec::new(),
             capacity,
             entry_bytes,
             peak_entries: 0,
         }
+    }
+
+    /// `Ok(i)`: `key` is at slot `i`; `Err(i)`: it would be inserted there.
+    fn find(&self, key: &K) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(k, _)| k.cmp(key))
+    }
+
+    /// Inserts a fresh entry at slot `i` (a `find` miss), tracking the peak.
+    fn insert_at(&mut self, i: usize, key: K, value: V) {
+        debug_assert!(self.has_room(), "insert_at past capacity");
+        self.entries.insert(i, (key, value));
+        self.peak_entries = self.peak_entries.max(self.entries.len());
     }
 
     /// Whether a new key could be inserted right now.
@@ -62,47 +79,45 @@ impl<K: Ord, V> LookupTable<K, V> {
     /// Inserts `key → value` if there is room (or the key exists, replacing
     /// its value). Returns `false` — and changes nothing — when full.
     pub fn try_insert(&mut self, key: K, value: V) -> bool {
-        if !self.entries.contains_key(&key) && !self.has_room() {
-            return false;
+        match self.find(&key) {
+            Ok(i) => self.entries[i].1 = value,
+            Err(_) if !self.has_room() => return false,
+            Err(i) => self.insert_at(i, key, value),
         }
-        self.entries.insert(key, value);
-        self.peak_entries = self.peak_entries.max(self.entries.len());
         true
     }
 
     /// Gets a value.
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.entries.get(key)
+        self.find(key).ok().map(|i| &self.entries[i].1)
     }
 
     /// Gets a value mutably.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.entries.get_mut(key)
+        self.find(key).ok().map(|i| &mut self.entries[i].1)
     }
 
     /// Upserts via a default: like `entry().or_insert()`, but bounded.
     /// Returns `None` if a fresh insert was needed and the table is full.
-    pub fn get_or_insert_with(&mut self, key: K, default: impl FnOnce() -> V) -> Option<&mut V>
-    where
-        K: Clone,
-    {
-        if !self.entries.contains_key(&key) {
-            if !self.has_room() {
-                return None;
+    pub fn get_or_insert_with(&mut self, key: K, default: impl FnOnce() -> V) -> Option<&mut V> {
+        let i = match self.find(&key) {
+            Ok(i) => i,
+            Err(_) if !self.has_room() => return None,
+            Err(i) => {
+                self.insert_at(i, key, default());
+                i
             }
-            self.entries.insert(key.clone(), default());
-            self.peak_entries = self.peak_entries.max(self.entries.len());
-        }
-        self.entries.get_mut(&key)
+        };
+        Some(&mut self.entries[i].1)
     }
 
     /// Removes and returns a value (reclaiming the entry — paper §4.3).
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        self.entries.remove(key)
+        self.find(key).ok().map(|i| self.entries.remove(i).1)
     }
 
     /// Removes every entry (e.g. resetting per-epoch counters on a Release);
-    /// the peak high-water mark is preserved.
+    /// the peak high-water mark and the allocation are kept.
     pub fn clear(&mut self) {
         self.entries.clear();
     }
@@ -134,22 +149,22 @@ impl<K: Ord, V> LookupTable<K, V> {
 
     /// Iterates entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.entries.iter()
+        self.entries.iter().map(|(k, v)| (k, v))
     }
 
     /// Keys in ascending order.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.entries.keys()
+        self.entries.iter().map(|(k, _)| k)
     }
 
     /// Largest key, if any.
     pub fn max_key(&self) -> Option<&K> {
-        self.entries.keys().next_back()
+        self.entries.last().map(|(k, _)| k)
     }
 
     /// Smallest key, if any.
     pub fn min_key(&self) -> Option<&K> {
-        self.entries.keys().next()
+        self.entries.first().map(|(k, _)| k)
     }
 }
 

@@ -181,6 +181,73 @@ fn cord_engine_invariants() {
     }
 }
 
+/// LookupTable behaves exactly like a capacity-bounded `BTreeMap`: random
+/// `try_insert` / `get_or_insert_with` / `remove` / `clear` sequences are
+/// mirrored on the reference model and every observable is compared after
+/// each step.
+#[test]
+fn lookup_table_matches_btreemap_model() {
+    use std::collections::BTreeMap;
+    const ENTRY_BYTES: u64 = 3;
+    let mut saw_full = false;
+    for case in 0..128 {
+        let mut rng = DetRng::new(0x7AB1E).stream(case);
+        let cap = rng.range_usize(1..24);
+        let keys = rng.range_u64(1..48);
+        let mut t: LookupTable<(u32, u64), u64> = LookupTable::new(cap, ENTRY_BYTES);
+        let mut model: BTreeMap<(u32, u64), u64> = BTreeMap::new();
+        let mut peak = 0usize;
+        for step in 0..rng.range_usize(1..400) {
+            let k = rng.range_u64(0..keys);
+            let key = ((k % 5) as u32, k / 5);
+            let v = rng.next_u64();
+            match rng.range_u64(0..16) {
+                0..=5 => {
+                    let fits = model.contains_key(&key) || model.len() < cap;
+                    assert_eq!(t.try_insert(key, v), fits, "case {case} step {step}");
+                    if fits {
+                        model.insert(key, v);
+                    }
+                    saw_full |= !fits;
+                }
+                6..=9 => {
+                    let fits = model.contains_key(&key) || model.len() < cap;
+                    match t.get_or_insert_with(key, || v) {
+                        Some(slot) => {
+                            assert!(fits, "case {case} step {step}");
+                            *slot = slot.wrapping_add(1);
+                            *model.entry(key).or_insert(v) = *slot;
+                        }
+                        None => assert!(!fits, "case {case} step {step}"),
+                    }
+                }
+                10..=14 => assert_eq!(t.remove(&key), model.remove(&key), "case {case}"),
+                _ => {
+                    t.clear();
+                    model.clear();
+                }
+            }
+            peak = peak.max(model.len());
+            assert_eq!(t.get(&key), model.get(&key), "case {case} step {step}");
+            assert_eq!(t.len(), model.len(), "case {case} step {step}");
+            assert_eq!(t.is_empty(), model.is_empty());
+            assert!(t.iter().eq(model.iter()), "case {case} step {step}: order");
+            assert!(t.keys().eq(model.keys()));
+            assert_eq!(t.min_key(), model.keys().next());
+            assert_eq!(t.max_key(), model.keys().next_back());
+            assert_eq!(t.has_room(), model.len() < cap);
+            assert_eq!(t.has_room_for(2), model.len() + 2 <= cap);
+            assert_eq!(t.bytes(), model.len() as u64 * ENTRY_BYTES);
+            assert_eq!(
+                t.peak_bytes(),
+                peak as u64 * ENTRY_BYTES,
+                "case {case} step {step}"
+            );
+        }
+    }
+    assert!(saw_full, "some case must hit capacity");
+}
+
 /// LookupTable never exceeds capacity and its peak is monotone.
 #[test]
 fn lookup_table_bounds() {
