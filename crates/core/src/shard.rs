@@ -674,13 +674,10 @@ impl System {
                 noc,
                 ..
             } = sh;
-            self.noc.stats_mut().merge(noc.stats());
             // Pair flows are recorded exactly once per inter-host message, on
-            // the *source* partition's egress, so summing per-partition maps
-            // reproduces the monolithic map without double counting.
-            for (ps, pd, f) in noc.pair_flows_sorted() {
-                self.noc.add_pair_flow(ps, pd, f);
-            }
+            // the *source* partition's egress, so summing per-partition rows
+            // reproduces the monolithic flows without double counting.
+            self.noc.absorb(noc);
             // Partitions are sparse: their vectors hold only their own host's
             // tiles, so local index `t` maps to global `lo + t`.
             let lo = h * tph;
