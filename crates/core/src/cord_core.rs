@@ -28,7 +28,6 @@
 //! hardware disambiguate wrapped values with serial-number arithmetic.
 
 use cord_mem::{Addr, AddressMap};
-use std::collections::HashMap;
 
 use cord_proto::{
     home_dir, ConsistencyModel, CordWidths, CoreCtx, CoreId, CoreProtoStats, CoreProtocol, DirId,
@@ -45,8 +44,9 @@ pub const PROC_CNT_ENTRY_BYTES: u64 = 5;
 /// Bytes per unacknowledged-epoch entry (1 B directory tag + 1 B epoch).
 pub const PROC_UNACKED_ENTRY_BYTES: u64 = 2;
 
-/// Everything needed to re-issue an unacknowledged Release after the
-/// destination directory crashes and wipes its held copy.
+/// One in-flight Release: the `(ep, dir)` key of its unacknowledged-table
+/// entry, plus everything needed to re-issue it after the destination
+/// directory crashes and wipes its held copy.
 #[derive(Debug, Clone)]
 struct ReplayRel {
     dir: DirId,
@@ -96,17 +96,16 @@ pub struct CordCore {
     cnt: LookupTable<DirId, u64>,
     /// Unacknowledged Release stores: (epoch, destination directory).
     unacked: LookupTable<(u64, DirId), ()>,
-    /// tid → (epoch, directory) of in-flight Release acknowledgments.
-    ack_wait: HashMap<u64, (u64, DirId)>,
+    /// Every unacknowledged Release by tid, in ascending tid order: tids
+    /// only grow, so a Release appends and its acknowledgment removes by
+    /// binary search. Directory-crash recovery re-issues from here.
+    inflight: Vec<(u64, ReplayRel)>,
     next_tid: u64,
     /// A Release/Full barrier has broadcast its empty Release stores and is
     /// waiting for the unacknowledged table to drain.
     fence_active: bool,
     /// An atomic awaiting its response (blocking, like a load).
     pending_atomic: Option<u64>,
-    /// tid → re-issue state for every unacknowledged Release (mirrors
-    /// `ack_wait`; consumed by directory-crash recovery).
-    replay: HashMap<u64, ReplayRel>,
     /// Active directory-crash recovery fence, if any.
     recover: Option<RecoverState>,
     reads: ReadPath,
@@ -134,11 +133,10 @@ impl CordCore {
             epoch: 0,
             cnt: LookupTable::new(cfg.tables.proc_cnt, PROC_CNT_ENTRY_BYTES),
             unacked: LookupTable::new(cfg.tables.proc_unacked, PROC_UNACKED_ENTRY_BYTES),
-            ack_wait: HashMap::new(),
+            inflight: Vec::new(),
             next_tid: 0,
             fence_active: false,
             pending_atomic: None,
-            replay: HashMap::new(),
             recover: None,
             reads: ReadPath::default(),
         }
@@ -251,8 +249,8 @@ impl CordCore {
         let noti_cnt = noti_dirs.len() as u32;
         let tid = self.next_tid;
         self.next_tid += 1;
-        self.ack_wait.insert(tid, (ep, dst));
-        self.replay.insert(
+        debug_assert!(self.inflight.last().is_none_or(|&(t, _)| t < tid));
+        self.inflight.push((
             tid,
             ReplayRel {
                 dir: dst,
@@ -266,7 +264,7 @@ impl CordCore {
                 noti_dirs: noti_dirs.to_vec(),
                 atomic,
             },
-        );
+        ));
         let inserted = self.unacked.try_insert((ep, dst), ());
         debug_assert!(inserted, "caller must check unacked-table room");
         ctx.trace(|| TraceData::TableInsert {
@@ -286,6 +284,26 @@ impl CordCore {
                 recover: false,
             },
         )
+    }
+
+    /// Retires an acknowledged Release: drops its in-flight entry and frees
+    /// its unacknowledged-table slot.
+    fn retire_release(&mut self, tid: u64, ctx: &mut CoreCtx<'_>) {
+        let i = self
+            .inflight
+            .binary_search_by_key(&tid, |&(t, _)| t)
+            .expect("CordCore: ack for unknown Release store");
+        let (_, rp) = self.inflight.remove(i);
+        self.unacked.remove(&(rp.ep, rp.dir));
+        ctx.trace(|| TraceData::TableEvict {
+            node: "core",
+            id: self.id.0,
+            table: "unacked",
+            occ: self.unacked.len() as u64,
+            cap: self.unacked.capacity() as u64,
+        });
+        // Stalled Releases, fences or table-bound stores may proceed.
+        ctx.wake();
     }
 
     /// Issues a full Release store (with notifications); returns a stall
@@ -471,7 +489,7 @@ impl CordCore {
             FenceKind::Acquire => Issue::Done,
             FenceKind::Release | FenceKind::Full => {
                 if self.fence_active {
-                    return if self.ack_wait.is_empty() {
+                    return if self.inflight.is_empty() {
                         self.fence_active = false;
                         Issue::Done
                     } else {
@@ -479,7 +497,7 @@ impl CordCore {
                     };
                 }
                 let pending = self.pending_dirs(None);
-                if pending.is_empty() && self.ack_wait.is_empty() {
+                if pending.is_empty() && self.inflight.is_empty() {
                     return Issue::Done;
                 }
                 if self.epoch_would_overflow() {
@@ -572,11 +590,9 @@ impl CordCore {
 
         // Phase 1: regenerate state the crashed directories wiped, for every
         // still-unacknowledged Release.
-        let mut tids: Vec<u64> = self.replay.keys().copied().collect();
-        tids.sort_unstable();
         let mut waiting = false;
-        for tid in tids {
-            let rp = self.replay.get(&tid).cloned().expect("replay entry");
+        for i in 0..self.inflight.len() {
+            let (tid, rp) = self.inflight[i].clone();
             // Wiped notifications: ask each crashed pending directory to
             // notify again. The last-unacked gate is recomputed against the
             // live table so the notification still waits for every earlier
@@ -760,7 +776,7 @@ impl CoreProtocol for CordCore {
                 value,
                 ord,
             } => {
-                if self.ack_wait.len() >= self.store_window {
+                if self.inflight.len() >= self.store_window {
                     return Issue::Stall(StallCause::StoreWindow);
                 }
                 let ordered = match self.model {
@@ -930,23 +946,7 @@ impl CoreProtocol for CordCore {
 
     fn on_msg(&mut self, _from: NodeRef, kind: MsgKind, ctx: &mut CoreCtx<'_>) {
         match kind {
-            MsgKind::WtAck { tid, .. } => {
-                let (ep, dir) = self
-                    .ack_wait
-                    .remove(&tid)
-                    .expect("CordCore: ack for unknown Release store");
-                self.unacked.remove(&(ep, dir));
-                self.replay.remove(&tid);
-                ctx.trace(|| TraceData::TableEvict {
-                    node: "core",
-                    id: self.id.0,
-                    table: "unacked",
-                    occ: self.unacked.len() as u64,
-                    cap: self.unacked.capacity() as u64,
-                });
-                // Stalled Releases, fences or table-bound stores may proceed.
-                ctx.wake();
-            }
+            MsgKind::WtAck { tid, .. } => self.retire_release(tid, ctx),
             MsgKind::AtomicResp { tid, old, epoch } => {
                 assert_eq!(
                     self.pending_atomic.take(),
@@ -955,20 +955,7 @@ impl CoreProtocol for CordCore {
                 );
                 if epoch.is_some() {
                     // Release atomic: the response is also the ack.
-                    let (ep, dir) = self
-                        .ack_wait
-                        .remove(&tid)
-                        .expect("release atomic registered in ack_wait");
-                    self.unacked.remove(&(ep, dir));
-                    self.replay.remove(&tid);
-                    ctx.trace(|| TraceData::TableEvict {
-                        node: "core",
-                        id: self.id.0,
-                        table: "unacked",
-                        occ: self.unacked.len() as u64,
-                        cap: self.unacked.capacity() as u64,
-                    });
-                    ctx.wake();
+                    self.retire_release(tid, ctx);
                 }
                 ctx.load_done(old);
             }
@@ -978,7 +965,7 @@ impl CoreProtocol for CordCore {
     }
 
     fn quiesced(&self) -> bool {
-        self.ack_wait.is_empty()
+        self.inflight.is_empty()
             && self.pending_atomic.is_none()
             && !self.reads.is_pending()
             && self.recover.is_none()
@@ -1336,6 +1323,76 @@ mod tests {
         );
         assert_eq!(r4, Issue::Done);
         assert!(fx4.is_empty());
+    }
+
+    #[test]
+    fn out_of_order_acks_free_their_own_entries_and_recovery_reissues_in_tid_order() {
+        let mut core = CordCore::new(CoreId(0), &cfg());
+        let inflight = |core: &CordCore| core.inflight.iter().map(|&(t, _)| t).collect::<Vec<_>>();
+        let unacked = |core: &CordCore| core.unacked.keys().copied().collect::<Vec<_>>();
+        // Releases alternate between directories 0 and 1: tid k, epoch k.
+        for k in 0..4 {
+            let (r, _) = issue(&mut core, &st(addr_on_slice(k % 2, k), StoreOrd::Release));
+            assert_eq!(r, Issue::Done);
+        }
+        assert_eq!(inflight(&core), vec![0, 1, 2, 3]);
+        // Directory 0 acks tid 2 before directory 1 acks tid 1.
+        ack(&mut core, 2);
+        assert_eq!(inflight(&core), vec![0, 1, 3]);
+        assert_eq!(
+            unacked(&core),
+            vec![(0, DirId(0)), (1, DirId(1)), (3, DirId(1))]
+        );
+        ack(&mut core, 1);
+        assert_eq!(inflight(&core), vec![0, 3]);
+        assert_eq!(unacked(&core), vec![(0, DirId(0)), (3, DirId(1))]);
+        // A fence closes epoch 4 with one empty Release per directory.
+        issue(&mut core, &st(addr_on_slice(0, 9), StoreOrd::Relaxed));
+        issue(&mut core, &st(addr_on_slice(1, 9), StoreOrd::Relaxed));
+        let fence = Op::Fence {
+            kind: FenceKind::Release,
+        };
+        assert_eq!(
+            issue(&mut core, &fence).0,
+            Issue::Stall(StallCause::AckWait)
+        );
+        assert_eq!(inflight(&core), vec![0, 3, 6, 7]);
+
+        // Both directories crash; each poll re-issues, in tid order, every
+        // Release whose older epochs are all acknowledged.
+        let mut fx = Vec::new();
+        let mut ctx = CoreCtx::new(Time::from_ns(500), &mut fx);
+        core.on_dir_recover(DirId(0), &mut ctx);
+        core.on_dir_recover(DirId(1), &mut ctx);
+        let poll = |core: &mut CordCore| {
+            let mut fx = Vec::new();
+            let done = core.finish_recover(&mut CoreCtx::new(Time::from_ns(600), &mut fx));
+            let tids: Vec<u64> = sends(&fx)
+                .iter()
+                .filter_map(|m| match m.kind {
+                    MsgKind::WtStore {
+                        tid,
+                        ord: StoreOrd::Release,
+                        ..
+                    } => Some(tid),
+                    _ => None,
+                })
+                .collect();
+            (done, tids)
+        };
+        assert_eq!(poll(&mut core), (false, vec![0]));
+        assert_eq!(poll(&mut core), (false, vec![]), "re-issues are sent once");
+        ack(&mut core, 0);
+        assert_eq!(poll(&mut core), (false, vec![3]));
+        ack(&mut core, 3);
+        assert_eq!(poll(&mut core), (false, vec![6, 7]));
+        ack(&mut core, 7);
+        assert_eq!(inflight(&core), vec![6]);
+        assert_eq!(unacked(&core), vec![(4, DirId(0))]);
+        ack(&mut core, 6);
+        assert_eq!(poll(&mut core), (true, vec![]));
+        assert!(core.quiesced());
+        assert!(core.unacked.is_empty());
     }
 
     #[test]
