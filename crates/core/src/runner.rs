@@ -587,10 +587,10 @@ impl System {
         self.sim_threads = workers.filter(|&w| w >= 1);
     }
 
-    /// Enables sparse per-host-pair flow accounting on the interconnect;
-    /// the sorted flows then ride [`RunResult::pair_flows`]. Off by default
-    /// (zero hot-path cost); identical under both engines at any worker
-    /// count.
+    /// Enables per-host-pair flow accounting on the interconnect; the
+    /// sorted flows of every pair that carried traffic then ride
+    /// [`RunResult::pair_flows`]. Off by default (zero hot-path cost);
+    /// identical under both engines at any worker count.
     pub fn set_pair_accounting(&mut self, on: bool) {
         self.noc.set_pair_accounting(on);
     }

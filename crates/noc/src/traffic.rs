@@ -77,8 +77,8 @@ impl FaultStats {
     }
 }
 
-/// Flow counters for one `(src_host, dst_host)` pair, recorded sparsely by
-/// the [`crate::Noc`] when per-pair accounting is enabled
+/// Flow counters for one `(src_host, dst_host)` pair, recorded by the
+/// [`crate::Noc`] when per-pair accounting is enabled
 /// ([`crate::Noc::set_pair_accounting`]). `notify_msgs` singles out the CORD
 /// cross-directory classes ([`MsgClass::ReqNotify`] + [`MsgClass::Notify`])
 /// so scale benches can report notification fan-out per pair.
