@@ -26,19 +26,36 @@
 //! directory-relabeled placements and shares the report.
 //!
 //! The visited set stores 64-bit state fingerprints rather than full
-//! states: inserting a successor costs one hash instead of a deep clone,
-//! and the frontier holds the only owned copy of each state. With a 64-bit
-//! fingerprint the collision probability for the \<10M-state spaces
-//! explored here is negligible (~n²/2⁶⁵), but set `CORD_CHECK_AUDIT=1` to
-//! run with a full state map that panics on any fingerprint collision —
-//! and, when symmetry reduction is active, to re-run the search unreduced
-//! and assert both agree on outcomes and deadlock-freedom.
+//! states, and the frontier holds the only owned copy of each state. The
+//! per-successor work is kept allocation-light in three ways:
+//!
+//! * **Copy-on-write states.** A [`State`] keeps its threads and
+//!   directories behind `Arc`s, so a successor shares every thread and
+//!   directory its transition left alone: building one copies the `mem` and
+//!   `net` vectors plus a pointer per thread and directory, not every
+//!   per-thread and per-directory table. Canonicalization likewise shares
+//!   threads and writes its images into per-worker scratch states.
+//! * **One-pass fingerprints.** `fingerprint` gathers the bytes `State`'s
+//!   `Hash` emits into a reused buffer and runs SipHash over it once, rather
+//!   than through hundreds of small writes. SipHash is a streaming hash, so
+//!   the value is exactly the streamed one.
+//! * **Pass-through visited sets.** A fingerprint is already a SipHash
+//!   output, so the `seen` sets use it as its own hash instead of hashing
+//!   it again.
+//!
+//! With a 64-bit fingerprint the collision probability for the \<10M-state
+//! spaces explored here is negligible (~n²/2⁶⁵), but set
+//! `CORD_CHECK_AUDIT=1` to run with a full state map that panics on any
+//! fingerprint collision — and, when symmetry reduction is active, to
+//! re-run the search unreduced and assert both agree on outcomes and
+//! deadlock-freedom.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::litmus::Litmus;
-use crate::model::{CheckConfig, Model, State, Symmetry};
+use crate::model::{CanonScratch, CheckConfig, Model, State, Symmetry};
 
 /// Result of exhaustively exploring one model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -186,12 +203,55 @@ pub struct ExploreStats {
     pub frontier: Vec<u64>,
 }
 
-/// Deterministic 64-bit state fingerprint (SipHash with fixed keys).
-fn fingerprint(s: &State) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    s.hash(&mut h);
+/// Deterministic 64-bit state fingerprint (SipHash with fixed keys): the
+/// bytes `s`'s `Hash` emits are gathered in `buf` (reused across calls)
+/// and hashed in one pass, which equals hashing `s` directly.
+pub(crate) fn fingerprint(s: &State, buf: &mut Vec<u8>) -> u64 {
+    buf.clear();
+    s.hash(&mut ByteSink(buf));
+    let mut h = DefaultHasher::new();
+    h.write(buf);
     h.finish()
 }
+
+/// A `Hasher` that records the bytes it is fed instead of hashing them.
+struct ByteSink<'a>(&'a mut Vec<u8>);
+
+impl Hasher for ByteSink<'_> {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        unreachable!("a ByteSink records bytes; fingerprint hashes them")
+    }
+}
+
+/// The hasher of fingerprint-keyed sets and maps. A fingerprint is already
+/// a SipHash output, so it serves as its own hash — rotated, because one
+/// shard's fingerprints share their residue modulo the shard count, which
+/// would otherwise pin the low bits that pick a bucket.
+#[derive(Default)]
+pub(crate) struct FpHasher(u64);
+
+impl Hasher for FpHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("fingerprint sets are keyed by u64 only")
+    }
+
+    fn write_u64(&mut self, fp: u64) {
+        self.0 = fp.rotate_left(32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A set of state fingerprints.
+pub(crate) type FpSet = HashSet<u64, BuildHasherDefault<FpHasher>>;
+/// A map keyed by state fingerprint.
+pub(crate) type FpMap<V> = HashMap<u64, V, BuildHasherDefault<FpHasher>>;
 
 /// Below this frontier size a level is expanded inline: forking the worker
 /// pool costs more than hashing a handful of states.
@@ -201,9 +261,9 @@ const PAR_LEVEL_MIN: usize = 64;
 /// frontier states it owns.
 #[derive(Default)]
 struct Shard {
-    seen: HashSet<u64>,
+    seen: FpSet,
     frontier: Vec<State>,
-    audit_map: HashMap<u64, State>,
+    audit_map: FpMap<State>,
 }
 
 /// Everything one worker produced from expanding its frontier slice for one
@@ -230,6 +290,8 @@ fn expand_shard(
         deadlocks: Vec::new(),
     };
     let mut succ: Vec<State> = Vec::new();
+    let mut buf = Vec::new();
+    let mut scratch = CanonScratch::default();
     for s in states {
         model.successors_into(s, &mut succ);
         if succ.is_empty() {
@@ -246,10 +308,10 @@ fn expand_shard(
         }
         for n in succ.drain(..) {
             let n = match sym {
-                Some(sy) => sy.canonicalize(n),
+                Some(sy) => sy.canonicalize(n, &mut scratch),
                 None => n,
             };
-            let fp = fingerprint(&n);
+            let fp = fingerprint(&n, &mut buf);
             out.outbox[(fp % shards as u64) as usize].push((fp, n));
         }
     }
@@ -326,11 +388,11 @@ pub fn explore_with(
     let init = {
         let s = model.init();
         match &sym {
-            Some(sy) => sy.canonicalize(s),
+            Some(sy) => sy.canonicalize(s, &mut CanonScratch::default()),
             None => s,
         }
     };
-    let fp0 = fingerprint(&init);
+    let fp0 = fingerprint(&init, &mut Vec::new());
     let home = &mut shards[(fp0 % shards_n as u64) as usize];
     home.seen.insert(fp0);
     if opts.audit {
@@ -715,6 +777,22 @@ mod tests {
         assert_eq!(ab, ba, "isomorphic placements diverged");
         let direct = explore(&cfg, &lit, &[1, 0], 1_000_000);
         assert_eq!(ba, direct, "shared report differs from direct exploration");
+    }
+
+    #[test]
+    fn buffered_fingerprint_equals_streamed_siphash() {
+        let mut buf = Vec::new();
+        let mut total = 0;
+        for (label, cfg, lit, placement) in crate::scaling_suite() {
+            let states = Model::new(&cfg, &lit, &placement).reachable();
+            for s in &states {
+                let mut h = DefaultHasher::new();
+                s.hash(&mut h);
+                assert_eq!(fingerprint(s, &mut buf), h.finish(), "{label}: {s:?}");
+            }
+            total += states.len();
+        }
+        assert_eq!(total, 70_060, "every reachable state of both fixtures");
     }
 
     #[test]

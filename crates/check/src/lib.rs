@@ -50,7 +50,7 @@ pub use explore::{
     Report, Verdict,
 };
 pub use litmus::{dsl, Cond, CondAtom, LOp, Litmus};
-pub use model::{CheckConfig, Model, NetMsg, State, Step, Symmetry, ThreadProto};
+pub use model::{CanonScratch, CheckConfig, Model, NetMsg, State, Step, Symmetry, ThreadProto};
 pub use narrate::{narrate_violation, Narrative};
 pub use suites::{
     campaign_entries, classic_suite, scaling_suite, stress_configs, tso_suite, weak_suite,

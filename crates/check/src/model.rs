@@ -16,6 +16,8 @@
 //! different protocols in one system (paper §4.5's mixed CORD/source-
 //! ordering scenario).
 
+use std::sync::Arc;
+
 use cord_proto::{FenceKind, StoreOrd};
 
 use crate::litmus::{LOp, Litmus};
@@ -223,10 +225,17 @@ struct DirSt {
 }
 
 /// A complete system state.
+///
+/// Threads and directories sit behind [`Arc`]s, copy-on-write: a successor
+/// shares every thread and directory its transition leaves alone, and
+/// `thread_mut` / `dir_mut` unshare one before writing. `Arc` forwards
+/// `Hash`, `Ord` and `Debug` to its contents, so sharing is invisible to
+/// fingerprints, canonical order and rendered states. `mem` and `net` are
+/// plain vectors: nearly every transition rewrites `net`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct State {
-    threads: Vec<ThreadSt>,
-    dirs: Vec<DirSt>,
+    threads: Vec<Arc<ThreadSt>>,
+    dirs: Vec<Arc<DirSt>>,
     /// Committed value per variable (each variable has one home directory).
     mem: Vec<u64>,
     /// In-flight messages (sorted multiset).
@@ -256,79 +265,111 @@ impl State {
         v
     }
 
-    /// The state relabeled under a thread permutation `tp` and a directory
-    /// permutation `dp` (both maps old-ID → new-ID). Every ID-keyed
-    /// structure — per-thread/per-directory vectors, association lists, and
-    /// in-flight messages — is remapped and re-sorted, so the result is a
-    /// well-formed state. Only meaningful for permutations that are actual
-    /// automorphisms of the model (see [`Symmetry`]).
-    fn permuted(&self, tp: &[u8], dp: &[u8]) -> State {
-        let nt = self.threads.len();
-        let nd = self.dirs.len();
-        let mut inv_t = vec![0usize; nt];
-        for (old, &new) in tp.iter().enumerate() {
-            inv_t[new as usize] = old;
-        }
-        let mut inv_d = vec![0usize; nd];
-        for (old, &new) in dp.iter().enumerate() {
-            inv_d[new as usize] = old;
-        }
-        let threads = (0..nt)
-            .map(|j| {
-                let th = &self.threads[inv_t[j]];
-                let mut unacked: Vec<(u64, u8)> = th
-                    .unacked
-                    .iter()
-                    .map(|&(ep, d)| (ep, dp[d as usize]))
-                    .collect();
-                unacked.sort_unstable();
-                ThreadSt {
-                    pc: th.pc,
-                    regs: th.regs,
-                    ep: th.ep,
-                    cnt: (0..nd).map(|d| th.cnt[inv_d[d]]).collect(),
-                    unacked,
-                    fence_sent: th.fence_sent,
-                    outstanding: th.outstanding,
-                    chan_next: (0..nd).map(|d| th.chan_next[inv_d[d]]).collect(),
-                    wait_atomic: th.wait_atomic,
-                }
-            })
-            .collect();
-        let dirs = (0..nd)
-            .map(|j| {
-                let d = &self.dirs[inv_d[j]];
-                let remap3 = |list: &[(u8, u64, u64)]| {
-                    let mut out: Vec<(u8, u64, u64)> = list
-                        .iter()
-                        .map(|&(t, ep, v)| (tp[t as usize], ep, v))
-                        .collect();
-                    out.sort_unstable();
-                    out
-                };
-                let mut largest: Vec<(u8, u64)> = d
-                    .largest
-                    .iter()
-                    .map(|&(t, ep)| (tp[t as usize], ep))
-                    .collect();
-                largest.sort_unstable();
-                DirSt {
-                    cnt: remap3(&d.cnt),
-                    noti: remap3(&d.noti),
-                    largest,
-                    chan_expect: (0..nt).map(|t| d.chan_expect[inv_t[t]]).collect(),
-                }
-            })
-            .collect();
-        let mut net: Vec<NetMsg> = self.net.iter().map(|m| permute_msg(m, tp, dp)).collect();
-        net.sort_unstable();
-        State {
-            threads,
-            dirs,
-            mem: self.mem.clone(),
-            net,
-        }
+    /// Thread `t`, unshared from every other state so it can be written.
+    fn thread_mut(&mut self, t: usize) -> &mut ThreadSt {
+        Arc::make_mut(&mut self.threads[t])
     }
+
+    /// Directory `d`, unshared from every other state so it can be written.
+    fn dir_mut(&mut self, d: usize) -> &mut DirSt {
+        Arc::make_mut(&mut self.dirs[d])
+    }
+
+    /// Writes the state relabeled under the group element `p` into `out`,
+    /// reusing `out`'s buffers; `out` may hold a state of any shape. Every
+    /// ID-keyed structure — per-thread/per-directory vectors, association
+    /// lists, and in-flight messages — is remapped and re-sorted, so the
+    /// result is a well-formed state. Only meaningful for permutations that
+    /// are actual automorphisms of the model (see [`Symmetry`]).
+    ///
+    /// A thread's contents are keyed by directory alone, so when `p` fixes
+    /// every directory each image thread *is* a source thread: it is shared,
+    /// not rebuilt.
+    fn permute_into(&self, p: &Perm, out: &mut State) {
+        let (tp, dp) = (&p.tp[..], &p.dp[..]);
+        if p.fixes_dirs {
+            out.threads.clear();
+            out.threads.extend(
+                p.inv_t
+                    .iter()
+                    .map(|&o| Arc::clone(&self.threads[o as usize])),
+            );
+        } else {
+            out.threads.truncate(self.threads.len());
+            for (j, &o) in p.inv_t.iter().enumerate() {
+                let src = &self.threads[o as usize];
+                let ThreadSt {
+                    pc,
+                    regs,
+                    ep,
+                    cnt,
+                    unacked,
+                    fence_sent,
+                    outstanding,
+                    chan_next,
+                    wait_atomic,
+                } = &**src;
+                let img = slot_mut(&mut out.threads, j, src);
+                img.pc = *pc;
+                img.regs = *regs;
+                img.ep = *ep;
+                img.cnt.clear();
+                img.cnt.extend(p.inv_d.iter().map(|&d| cnt[d as usize]));
+                img.unacked.clear();
+                img.unacked
+                    .extend(unacked.iter().map(|&(ep, d)| (ep, dp[d as usize])));
+                img.unacked.sort_unstable();
+                img.fence_sent = *fence_sent;
+                img.outstanding = *outstanding;
+                img.chan_next.clear();
+                img.chan_next
+                    .extend(p.inv_d.iter().map(|&d| chan_next[d as usize]));
+                img.wait_atomic = *wait_atomic;
+            }
+        }
+        out.dirs.truncate(self.dirs.len());
+        for (j, &o) in p.inv_d.iter().enumerate() {
+            let src = &self.dirs[o as usize];
+            let DirSt {
+                cnt,
+                noti,
+                largest,
+                chan_expect,
+            } = &**src;
+            let img = slot_mut(&mut out.dirs, j, src);
+            remap_assoc(cnt, tp, &mut img.cnt);
+            remap_assoc(noti, tp, &mut img.noti);
+            img.largest.clear();
+            img.largest
+                .extend(largest.iter().map(|&(t, ep)| (tp[t as usize], ep)));
+            img.largest.sort_unstable();
+            img.chan_expect.clear();
+            img.chan_expect
+                .extend(p.inv_t.iter().map(|&t| chan_expect[t as usize]));
+        }
+        out.mem.clone_from(&self.mem);
+        out.net.clear();
+        out.net
+            .extend(self.net.iter().map(|m| permute_msg(m, tp, dp)));
+        out.net.sort_unstable();
+    }
+}
+
+/// Slot `j` of a scratch vector as a value to overwrite: the slot's own
+/// buffers unless another state shares it, and a copy of `like` when the
+/// vector is one short.
+fn slot_mut<'a, T: Clone>(v: &'a mut Vec<Arc<T>>, j: usize, like: &Arc<T>) -> &'a mut T {
+    if j == v.len() {
+        v.push(Arc::clone(like));
+    }
+    Arc::make_mut(&mut v[j])
+}
+
+/// Writes `list` with thread IDs mapped through `tp` into `out`, re-sorted.
+fn remap_assoc(list: &[(u8, u64, u64)], tp: &[u8], out: &mut Vec<(u8, u64, u64)>) {
+    out.clear();
+    out.extend(list.iter().map(|&(t, ep, v)| (tp[t as usize], ep, v)));
+    out.sort_unstable();
 }
 
 fn permute_msg(m: &NetMsg, tp: &[u8], dp: &[u8]) -> NetMsg {
@@ -449,7 +490,7 @@ fn permute_msg(m: &NetMsg, tp: &[u8], dp: &[u8]) -> NetMsg {
 /// [`Symmetry::MAX_ORDER`] degenerate to the trivial group (canonicalizing
 /// would cost more than it saves).
 ///
-/// Directory-ID permutations are automorphisms too (`State::permuted`
+/// Directory-ID permutations are automorphisms too (`State::permute_into`
 /// handles both sorts), but within one model the only interchangeable
 /// directories are those homing no variable — and unused directories are
 /// stateless in every protocol here, so permuting them is the *identity*
@@ -466,9 +507,67 @@ fn permute_msg(m: &NetMsg, tp: &[u8], dp: &[u8]) -> NetMsg {
 /// the exact raw outcome set.
 #[derive(Debug, Clone)]
 pub struct Symmetry {
-    /// Non-identity group elements as (thread map, dir map), old ID → new.
-    perms: Vec<(Vec<u8>, Vec<u8>)>,
+    /// Non-identity group elements.
+    perms: Vec<Perm>,
     threads: usize,
+}
+
+/// One group element: thread and directory maps with their inverses.
+#[derive(Debug, Clone)]
+struct Perm {
+    /// Thread map, old ID → new ID.
+    tp: Vec<u8>,
+    /// Directory map, old ID → new ID.
+    dp: Vec<u8>,
+    /// Thread map, new ID → old ID.
+    inv_t: Vec<u8>,
+    /// Directory map, new ID → old ID.
+    inv_d: Vec<u8>,
+    /// `dp` is the identity.
+    fixes_dirs: bool,
+}
+
+impl Perm {
+    fn new(tp: Vec<u8>, dp: Vec<u8>) -> Self {
+        let inverse = |map: &[u8]| {
+            let mut inv = vec![0u8; map.len()];
+            for (old, &new) in map.iter().enumerate() {
+                inv[new as usize] = old as u8;
+            }
+            inv
+        };
+        Perm {
+            inv_t: inverse(&tp),
+            inv_d: inverse(&dp),
+            fixes_dirs: dp.iter().enumerate().all(|(i, &d)| d as usize == i),
+            tp,
+            dp,
+        }
+    }
+}
+
+/// Reusable buffers for [`Symmetry::canonicalize`]: the image being built
+/// and the least image so far. Keep one per worker; states of any model may
+/// pass through it.
+#[derive(Debug)]
+pub struct CanonScratch {
+    best: State,
+    cur: State,
+}
+
+impl Default for CanonScratch {
+    fn default() -> Self {
+        let empty = || State {
+            threads: Vec::new(),
+            dirs: Vec::new(),
+            mem: Vec::new(),
+            net: Vec::new(),
+        };
+        CanonScratch {
+            best: empty(),
+            cur: empty(),
+        }
+    }
 }
 
 impl Symmetry {
@@ -490,7 +589,10 @@ impl Symmetry {
                 None => tclasses.push(vec![t as u8]),
             }
         }
-        let order: usize = tclasses.iter().map(|c| factorial(c.len())).product();
+        let order = tclasses
+            .iter()
+            .map(|c| factorial(c.len()))
+            .fold(1, usize::saturating_mul);
         if order <= 1 || order > Self::MAX_ORDER {
             return Symmetry {
                 perms: Vec::new(),
@@ -506,7 +608,7 @@ impl Symmetry {
         let perms = tperms
             .into_iter()
             .filter(|tpm| tpm.iter().enumerate().any(|(i, &v)| v != i as u8))
-            .map(|tpm| (tpm, dp_id.clone()))
+            .map(|tpm| Perm::new(tpm, dp_id.clone()))
             .collect();
         Symmetry { perms, threads: nt }
     }
@@ -522,18 +624,23 @@ impl Symmetry {
     }
 
     /// The canonical representative of `s`'s orbit: the lexicographically
-    /// smallest permuted image (identity included).
-    pub fn canonicalize(&self, s: State) -> State {
-        let mut best: Option<State> = None;
-        for (tpm, dpm) in &self.perms {
-            let c = s.permuted(tpm, dpm);
-            if best.as_ref().is_none_or(|b| c < *b) {
-                best = Some(c);
+    /// smallest permuted image (identity included). Images are built in
+    /// `scratch`, whose buffers carry over between calls; a winning image
+    /// is returned and `s` takes its place in the scratch.
+    pub fn canonicalize(&self, s: State, scratch: &mut CanonScratch) -> State {
+        let CanonScratch { best, cur } = scratch;
+        let mut found = false;
+        for p in &self.perms {
+            s.permute_into(p, cur);
+            if !found || *cur < *best {
+                std::mem::swap(cur, best);
+                found = true;
             }
         }
-        match best {
-            Some(b) if b < s => b,
-            _ => s,
+        if found && *best < s {
+            std::mem::replace(best, s)
+        } else {
+            s
         }
     }
 
@@ -546,9 +653,9 @@ impl Symmetry {
     pub fn orbit_outcomes(&self, outcome: &[u64]) -> Vec<Vec<u64>> {
         debug_assert!(outcome.len() >= self.threads * 4);
         let mut out = Vec::with_capacity(self.perms.len());
-        for (tpm, _) in &self.perms {
+        for p in &self.perms {
             let mut img = outcome.to_vec();
-            for (old, &new) in tpm.iter().enumerate() {
+            for (old, &new) in p.tp.iter().enumerate() {
                 img[new as usize * 4..new as usize * 4 + 4]
                     .copy_from_slice(&outcome[old * 4..old * 4 + 4]);
             }
@@ -560,8 +667,10 @@ impl Symmetry {
     }
 }
 
+/// `n!`, saturating: any group too large to count is far past
+/// [`Symmetry::MAX_ORDER`] anyway.
 fn factorial(n: usize) -> usize {
-    (1..=n).product::<usize>().max(1)
+    (1..=n).fold(1, usize::saturating_mul)
 }
 
 /// Extends each base permutation with every permutation of `class` members
@@ -571,7 +680,7 @@ fn extend_perms(base: Vec<Vec<u8>>, class: &[u8]) -> Vec<Vec<u8>> {
         return base;
     }
     let mut arrangements: Vec<Vec<u8>> = Vec::new();
-    permute_into(&mut class.to_vec(), 0, &mut arrangements);
+    push_arrangements(&mut class.to_vec(), 0, &mut arrangements);
     let mut out = Vec::with_capacity(base.len() * arrangements.len());
     for b in &base {
         for arr in &arrangements {
@@ -585,14 +694,14 @@ fn extend_perms(base: Vec<Vec<u8>>, class: &[u8]) -> Vec<Vec<u8>> {
     out
 }
 
-fn permute_into(items: &mut Vec<u8>, k: usize, out: &mut Vec<Vec<u8>>) {
+fn push_arrangements(items: &mut Vec<u8>, k: usize, out: &mut Vec<Vec<u8>>) {
     if k == items.len() {
         out.push(items.clone());
         return;
     }
     for i in k..items.len() {
         items.swap(k, i);
-        permute_into(items, k + 1, out);
+        push_arrangements(items, k + 1, out);
         items.swap(k, i);
     }
 }
@@ -677,24 +786,28 @@ impl<'a> Model<'a> {
         let threads = self.ops.len();
         State {
             threads: (0..threads)
-                .map(|_| ThreadSt {
-                    pc: 0,
-                    regs: [0; 4],
-                    ep: 0,
-                    cnt: vec![0; dirs],
-                    unacked: Vec::new(),
-                    fence_sent: false,
-                    outstanding: 0,
-                    chan_next: vec![0; dirs],
-                    wait_atomic: None,
+                .map(|_| {
+                    Arc::new(ThreadSt {
+                        pc: 0,
+                        regs: [0; 4],
+                        ep: 0,
+                        cnt: vec![0; dirs],
+                        unacked: Vec::new(),
+                        fence_sent: false,
+                        outstanding: 0,
+                        chan_next: vec![0; dirs],
+                        wait_atomic: None,
+                    })
                 })
                 .collect(),
             dirs: (0..dirs)
-                .map(|_| DirSt {
-                    cnt: Vec::new(),
-                    noti: Vec::new(),
-                    largest: Vec::new(),
-                    chan_expect: vec![0; threads],
+                .map(|_| {
+                    Arc::new(DirSt {
+                        cnt: Vec::new(),
+                        noti: Vec::new(),
+                        largest: Vec::new(),
+                        chan_expect: vec![0; threads],
+                    })
                 })
                 .collect(),
             mem: vec![0; self.placement.len()],
@@ -787,8 +900,8 @@ impl<'a> Model<'a> {
         match op {
             LOp::Load { var, reg, .. } => {
                 let mut n = s.clone();
-                n.threads[t].regs[reg as usize] = s.mem[var as usize];
-                n.threads[t].pc += 1;
+                n.thread_mut(t).regs[reg as usize] = s.mem[var as usize];
+                n.thread_mut(t).pc += 1;
                 Some(n)
             }
             LOp::WaitAcq { var, val } => {
@@ -796,7 +909,7 @@ impl<'a> Model<'a> {
                     return None; // spin: enabled only once the value lands
                 }
                 let mut n = s.clone();
-                n.threads[t].pc += 1;
+                n.thread_mut(t).pc += 1;
                 Some(n)
             }
             _ => unreachable!("read_step on non-read"),
@@ -854,7 +967,7 @@ impl<'a> Model<'a> {
             last_prev: last_unacked_for(th, dst),
             noti_cnt: pending.len() as u8,
         });
-        let nth = &mut n.threads[t];
+        let nth = n.thread_mut(t);
         nth.unacked.push((ep, dst));
         nth.unacked.sort_unstable();
         nth.ep += 1;
@@ -888,7 +1001,7 @@ impl<'a> Model<'a> {
                 }
                 let mut n = base;
                 let ep = n.threads[t].ep;
-                n.threads[t].cnt[dst as usize] += 1;
+                n.thread_mut(t).cnt[dst as usize] += 1;
                 n.net.push(NetMsg::CordRelaxed {
                     t: t as u8,
                     dir: dst,
@@ -897,18 +1010,18 @@ impl<'a> Model<'a> {
                     ep,
                 });
                 n.net.sort_unstable();
-                n.threads[t].pc += 1;
+                n.thread_mut(t).pc += 1;
                 Some(n)
             }
             LOp::Store { var, val, .. } => {
                 // Release stores — and, under TSO, every store (§6).
                 let mut n = self.cord_release(s, t, self.home(var), Some(var), val)?;
-                n.threads[t].pc += 1;
+                n.thread_mut(t).pc += 1;
                 Some(n)
             }
             LOp::Fence(FenceKind::Acquire) => {
                 let mut n = s.clone();
-                n.threads[t].pc += 1;
+                n.thread_mut(t).pc += 1;
                 Some(n)
             }
             LOp::Fence(FenceKind::Release | FenceKind::Full) => {
@@ -920,8 +1033,8 @@ impl<'a> Model<'a> {
                     .collect();
                 if pending.is_empty() && th.unacked.is_empty() {
                     let mut n = s.clone();
-                    n.threads[t].pc += 1;
-                    n.threads[t].fence_sent = false;
+                    n.thread_mut(t).pc += 1;
+                    n.thread_mut(t).fence_sent = false;
                     return Some(n);
                 }
                 if th.fence_sent {
@@ -950,9 +1063,9 @@ impl<'a> Model<'a> {
                         last_prev: last_unacked_for(th, p),
                         noti_cnt: 0,
                     });
-                    n.threads[t].unacked.push((ep, p));
+                    n.thread_mut(t).unacked.push((ep, p));
                 }
-                let nth = &mut n.threads[t];
+                let nth = n.thread_mut(t);
                 nth.unacked.sort_unstable();
                 nth.ep += 1;
                 nth.cnt.iter_mut().for_each(|c| *c = 0);
@@ -974,8 +1087,8 @@ impl<'a> Model<'a> {
                         }
                         let mut n = s.clone();
                         let ep = n.threads[t].ep;
-                        n.threads[t].cnt[dst as usize] += 1;
-                        n.threads[t].wait_atomic = Some(reg);
+                        n.thread_mut(t).cnt[dst as usize] += 1;
+                        n.thread_mut(t).wait_atomic = Some(reg);
                         n.net.push(NetMsg::AtomicReq {
                             t: t as u8,
                             dir: dst,
@@ -987,7 +1100,7 @@ impl<'a> Model<'a> {
                             so: false,
                         });
                         n.net.sort_unstable();
-                        n.threads[t].pc += 1;
+                        n.thread_mut(t).pc += 1;
                         Some(n)
                     }
                     StoreOrd::Release => {
@@ -1037,7 +1150,7 @@ impl<'a> Model<'a> {
                             seq: 0,
                             so: false,
                         });
-                        let nth = &mut n.threads[t];
+                        let nth = n.thread_mut(t);
                         nth.unacked.push((ep, dst));
                         nth.unacked.sort_unstable();
                         nth.ep += 1;
@@ -1061,7 +1174,7 @@ impl<'a> Model<'a> {
                     return None; // source ordering: wait for all acks
                 }
                 let mut n = s.clone();
-                n.threads[t].outstanding += 1;
+                n.thread_mut(t).outstanding += 1;
                 n.net.push(NetMsg::SoStore {
                     t: t as u8,
                     dir: self.home(var),
@@ -1069,12 +1182,12 @@ impl<'a> Model<'a> {
                     val,
                 });
                 n.net.sort_unstable();
-                n.threads[t].pc += 1;
+                n.thread_mut(t).pc += 1;
                 Some(n)
             }
             LOp::Fence(FenceKind::Acquire) => {
                 let mut n = s.clone();
-                n.threads[t].pc += 1;
+                n.thread_mut(t).pc += 1;
                 Some(n)
             }
             LOp::Fence(_) => {
@@ -1082,7 +1195,7 @@ impl<'a> Model<'a> {
                     return None;
                 }
                 let mut n = s.clone();
-                n.threads[t].pc += 1;
+                n.thread_mut(t).pc += 1;
                 Some(n)
             }
             LOp::FetchAdd { var, add, reg, ord } => {
@@ -1090,8 +1203,8 @@ impl<'a> Model<'a> {
                     return None;
                 }
                 let mut n = s.clone();
-                n.threads[t].outstanding += 1;
-                n.threads[t].wait_atomic = Some(reg);
+                n.thread_mut(t).outstanding += 1;
+                n.thread_mut(t).wait_atomic = Some(reg);
                 n.net.push(NetMsg::AtomicReq {
                     t: t as u8,
                     dir: self.home(var),
@@ -1103,7 +1216,7 @@ impl<'a> Model<'a> {
                     so: true,
                 });
                 n.net.sort_unstable();
-                n.threads[t].pc += 1;
+                n.thread_mut(t).pc += 1;
                 Some(n)
             }
             LOp::Load { .. } | LOp::WaitAcq { .. } => self.read_step(s, t, op),
@@ -1116,7 +1229,7 @@ impl<'a> Model<'a> {
                 let dst = self.home(var);
                 let mut n = s.clone();
                 let seq = n.threads[t].chan_next[dst as usize];
-                n.threads[t].chan_next[dst as usize] += 1;
+                n.thread_mut(t).chan_next[dst as usize] += 1;
                 n.net.push(NetMsg::MpWrite {
                     t: t as u8,
                     dir: dst,
@@ -1125,15 +1238,15 @@ impl<'a> Model<'a> {
                     seq,
                 });
                 n.net.sort_unstable();
-                n.threads[t].pc += 1;
+                n.thread_mut(t).pc += 1;
                 Some(n)
             }
             LOp::FetchAdd { var, add, reg, .. } => {
                 let dst = self.home(var);
                 let mut n = s.clone();
                 let seq = n.threads[t].chan_next[dst as usize];
-                n.threads[t].chan_next[dst as usize] += 1;
-                n.threads[t].wait_atomic = Some(reg);
+                n.thread_mut(t).chan_next[dst as usize] += 1;
+                n.thread_mut(t).wait_atomic = Some(reg);
                 n.net.push(NetMsg::AtomicReq {
                     t: t as u8,
                     dir: dst,
@@ -1145,14 +1258,14 @@ impl<'a> Model<'a> {
                     so: false,
                 });
                 n.net.sort_unstable();
-                n.threads[t].pc += 1;
+                n.thread_mut(t).pc += 1;
                 Some(n)
             }
             LOp::Fence(_) => {
                 // MP fences only constrain point-to-point channels, which
                 // are already FIFO: free (and insufficient — §3.2).
                 let mut n = s.clone();
-                n.threads[t].pc += 1;
+                n.thread_mut(t).pc += 1;
                 Some(n)
             }
             LOp::Load { .. } | LOp::WaitAcq { .. } => self.read_step(s, t, op),
@@ -1173,7 +1286,7 @@ impl<'a> Model<'a> {
                 let mut n = self.take(s, idx);
                 n.mem[var as usize] = val;
                 assoc_bump(
-                    &mut n.dirs[dir as usize].cnt,
+                    &mut n.dir_mut(dir as usize).cnt,
                     t,
                     ep,
                     self.cfg.dir_cnt_cap,
@@ -1203,7 +1316,7 @@ impl<'a> Model<'a> {
                 if let Some(v) = var {
                     n.mem[v as usize] = val;
                 }
-                let nd = &mut n.dirs[dir as usize];
+                let nd = n.dir_mut(dir as usize);
                 largest_set(&mut nd.largest, t, ep);
                 assoc_remove(&mut nd.cnt, t, ep);
                 assoc_remove(&mut nd.noti, t, ep);
@@ -1227,7 +1340,7 @@ impl<'a> Model<'a> {
                     return None; // recycled (Alg. 2 line 28)
                 }
                 let mut n = self.take(s, idx);
-                assoc_remove(&mut n.dirs[pend as usize].cnt, t, ep);
+                assoc_remove(&mut n.dir_mut(pend as usize).cnt, t, ep);
                 n.net.push(NetMsg::Notify { t, dst, ep });
                 n.net.sort_unstable();
                 Some(n)
@@ -1235,7 +1348,7 @@ impl<'a> Model<'a> {
             NetMsg::Notify { t, dst, ep } => {
                 let mut n = self.take(s, idx);
                 assoc_bump(
-                    &mut n.dirs[dst as usize].noti,
+                    &mut n.dir_mut(dst as usize).noti,
                     t,
                     ep,
                     self.cfg.dir_noti_cap,
@@ -1276,7 +1389,7 @@ impl<'a> Model<'a> {
                 match proto {
                     ThreadProto::Cord => match release {
                         Some(_) => {
-                            let nd = &mut n.dirs[dir as usize];
+                            let nd = n.dir_mut(dir as usize);
                             largest_set(&mut nd.largest, t, ep);
                             assoc_remove(&mut nd.cnt, t, ep);
                             assoc_remove(&mut nd.noti, t, ep);
@@ -1284,7 +1397,7 @@ impl<'a> Model<'a> {
                         }
                         None => {
                             assoc_bump(
-                                &mut n.dirs[dir as usize].cnt,
+                                &mut n.dir_mut(dir as usize).cnt,
                                 t,
                                 ep,
                                 self.cfg.dir_cnt_cap,
@@ -1293,7 +1406,7 @@ impl<'a> Model<'a> {
                         }
                     },
                     ThreadProto::Mp => {
-                        n.dirs[dir as usize].chan_expect[t as usize] += 1;
+                        n.dir_mut(dir as usize).chan_expect[t as usize] += 1;
                     }
                     ThreadProto::So => {}
                 }
@@ -1305,7 +1418,7 @@ impl<'a> Model<'a> {
             }
             NetMsg::AtomicResp { t, old, reg, ack } => {
                 let mut n = self.take(s, idx);
-                let th = &mut n.threads[t as usize];
+                let th = n.thread_mut(t as usize);
                 th.regs[reg as usize] = old;
                 th.wait_atomic = None;
                 if th.outstanding > 0 && self.cfg.protos[t as usize] == ThreadProto::So {
@@ -1318,7 +1431,7 @@ impl<'a> Model<'a> {
             }
             NetMsg::CordAck { t, ep, dir } => {
                 let mut n = self.take(s, idx);
-                n.threads[t as usize]
+                n.thread_mut(t as usize)
                     .unacked
                     .retain(|&(e, d)| !(e == ep && d == dir));
                 Some(n)
@@ -1332,7 +1445,7 @@ impl<'a> Model<'a> {
             }
             NetMsg::SoAck { t } => {
                 let mut n = self.take(s, idx);
-                n.threads[t as usize].outstanding -= 1;
+                n.thread_mut(t as usize).outstanding -= 1;
                 Some(n)
             }
             NetMsg::MpWrite {
@@ -1347,7 +1460,7 @@ impl<'a> Model<'a> {
                 }
                 let mut n = self.take(s, idx);
                 n.mem[var as usize] = val;
-                n.dirs[dir as usize].chan_expect[t as usize] += 1;
+                n.dir_mut(dir as usize).chan_expect[t as usize] += 1;
                 Some(n)
             }
         }
@@ -1367,6 +1480,26 @@ fn last_unacked_for(th: &ThreadSt, dir: u8) -> Option<u64> {
         .filter(|&&(_, d)| d == dir)
         .map(|&(e, _)| e)
         .max()
+}
+
+#[cfg(test)]
+impl Model<'_> {
+    /// Every state reachable from [`Model::init`], unreduced, in BFS order.
+    pub(crate) fn reachable(&self) -> Vec<State> {
+        let mut seen = std::collections::HashSet::new();
+        let mut order = vec![self.init()];
+        seen.insert(order[0].clone());
+        let mut i = 0;
+        while i < order.len() {
+            for n in self.successors(&order[i]) {
+                if seen.insert(n.clone()) {
+                    order.push(n);
+                }
+            }
+            i += 1;
+        }
+        order
+    }
 }
 
 #[cfg(test)]
@@ -1498,13 +1631,14 @@ mod tests {
         let succ = m.successors(&init);
         assert_eq!(succ.len(), 2);
         assert_ne!(succ[0], succ[1]);
+        let mut scratch = CanonScratch::default();
         assert_eq!(
-            sym.canonicalize(succ[0].clone()),
-            sym.canonicalize(succ[1].clone())
+            sym.canonicalize(succ[0].clone(), &mut scratch),
+            sym.canonicalize(succ[1].clone(), &mut scratch)
         );
         // Canonicalization is idempotent.
-        let c = sym.canonicalize(succ[0].clone());
-        assert_eq!(sym.canonicalize(c.clone()), c);
+        let c = sym.canonicalize(succ[0].clone(), &mut scratch);
+        assert_eq!(sym.canonicalize(c.clone(), &mut scratch), c);
     }
 
     #[test]
@@ -1516,7 +1650,10 @@ mod tests {
         assert!(sym.is_trivial());
         assert_eq!(sym.order(), 1);
         let init = m.init();
-        assert_eq!(sym.canonicalize(init.clone()), init);
+        assert_eq!(
+            sym.canonicalize(init.clone(), &mut CanonScratch::default()),
+            init
+        );
         assert!(sym.orbit_outcomes(&init.outcome()).is_empty());
     }
 
@@ -1559,20 +1696,183 @@ mod tests {
                 .unwrap();
         }
         assert!(!s.net.is_empty(), "need in-flight messages to permute");
-        let (tp, dp) = ([0u8, 1], [1u8, 0]);
-        let p = s.permuted(&tp, &dp);
+        let swap = Perm::new(vec![0, 1], vec![1, 0]);
+        assert!(!swap.fixes_dirs);
+        // Start from a scratch of another shape: every vector must resize.
+        let cfg3 = CheckConfig::cord(3, 3);
+        let lit3 = Litmus::new("three", vec![vec![wrel(0, 1)]; 3], 3, vec![]);
+        let mut p = Model::new(&cfg3, &lit3, &[0, 1, 2]).init();
+        s.permute_into(&swap, &mut p);
+        assert_eq!(p, permuted(&s, &swap.tp, &swap.dp), "matches the reference");
         assert_ne!(p, s, "directory state must actually move");
-        assert_eq!(p.permuted(&tp, &dp), s, "transposition is an involution");
+        let mut back = m.init();
+        p.permute_into(&swap, &mut back);
+        assert_eq!(back, s, "transposition is an involution");
         assert_eq!(p.outcome(), s.outcome());
     }
 
     #[test]
     fn oversized_groups_degenerate_to_trivial() {
         // Five identical threads: 5! = 120 > MAX_ORDER — not worth it.
-        let lit = Litmus::new("many", vec![vec![wrel(0, 1)]; 5], 1, vec![]);
-        let cfg = CheckConfig::cord(5, 1);
-        let m = Model::new(&cfg, &lit, &[0]);
-        assert!(m.symmetry().is_trivial());
+        // Twenty-one: 21! overflows a 64-bit usize, so the order must
+        // saturate rather than wrap (release) or panic (debug).
+        for n in [5, 21] {
+            let lit = Litmus::new("many", vec![vec![wrel(0, 1)]; n], 1, vec![]);
+            let cfg = CheckConfig::cord(n, 1);
+            let m = Model::new(&cfg, &lit, &[0]);
+            assert!(m.symmetry().is_trivial(), "{n} threads");
+        }
+    }
+
+    /// The reference relabeling: a freshly allocated image with inverse maps
+    /// computed on the spot and every thread rebuilt.
+    fn permuted(s: &State, tp: &[u8], dp: &[u8]) -> State {
+        let nt = s.threads.len();
+        let nd = s.dirs.len();
+        let mut inv_t = vec![0usize; nt];
+        for (old, &new) in tp.iter().enumerate() {
+            inv_t[new as usize] = old;
+        }
+        let mut inv_d = vec![0usize; nd];
+        for (old, &new) in dp.iter().enumerate() {
+            inv_d[new as usize] = old;
+        }
+        let threads = (0..nt)
+            .map(|j| {
+                let th = &s.threads[inv_t[j]];
+                let mut unacked: Vec<(u64, u8)> = th
+                    .unacked
+                    .iter()
+                    .map(|&(ep, d)| (ep, dp[d as usize]))
+                    .collect();
+                unacked.sort_unstable();
+                Arc::new(ThreadSt {
+                    pc: th.pc,
+                    regs: th.regs,
+                    ep: th.ep,
+                    cnt: (0..nd).map(|d| th.cnt[inv_d[d]]).collect(),
+                    unacked,
+                    fence_sent: th.fence_sent,
+                    outstanding: th.outstanding,
+                    chan_next: (0..nd).map(|d| th.chan_next[inv_d[d]]).collect(),
+                    wait_atomic: th.wait_atomic,
+                })
+            })
+            .collect();
+        let remap3 = |list: &[(u8, u64, u64)]| {
+            let mut out: Vec<(u8, u64, u64)> = list
+                .iter()
+                .map(|&(t, ep, v)| (tp[t as usize], ep, v))
+                .collect();
+            out.sort_unstable();
+            out
+        };
+        let dirs = (0..nd)
+            .map(|j| {
+                let d = &s.dirs[inv_d[j]];
+                let mut largest: Vec<(u8, u64)> = d
+                    .largest
+                    .iter()
+                    .map(|&(t, ep)| (tp[t as usize], ep))
+                    .collect();
+                largest.sort_unstable();
+                Arc::new(DirSt {
+                    cnt: remap3(&d.cnt),
+                    noti: remap3(&d.noti),
+                    largest,
+                    chan_expect: (0..nt).map(|t| d.chan_expect[inv_t[t]]).collect(),
+                })
+            })
+            .collect();
+        let mut net: Vec<NetMsg> = s.net.iter().map(|m| permute_msg(m, tp, dp)).collect();
+        net.sort_unstable();
+        State {
+            threads,
+            dirs,
+            mem: s.mem.clone(),
+            net,
+        }
+    }
+
+    #[test]
+    fn canonicalize_equals_the_least_freshly_built_image() {
+        let (label, cfg, lit, placement) = crate::scaling_suite()
+            .into_iter()
+            .find(|e| e.0.starts_with("SCALE-AMO-3x3"))
+            .expect("fixture exists");
+        let race = Litmus::new(
+            "2W-sym",
+            vec![
+                vec![wrel(0, 1), racq(1, 0)],
+                vec![wrel(0, 1), racq(1, 0)],
+                vec![wrel(1, 1)],
+            ],
+            2,
+            vec![],
+        );
+        let race_cfg = CheckConfig::cord(3, 2);
+        // One scratch across both models: it must reshape between them.
+        let mut scratch = CanonScratch::default();
+        for (label, cfg, lit, placement) in [
+            (label, &cfg, &lit, placement),
+            ("2W-sym".to_string(), &race_cfg, &race, vec![0, 1]),
+        ] {
+            let m = Model::new(cfg, lit, &placement);
+            let sym = m.symmetry();
+            assert!(!sym.is_trivial(), "{label}");
+            let states = m.reachable();
+            for s in &states {
+                let want = sym
+                    .perms
+                    .iter()
+                    .map(|p| permuted(s, &p.tp, &p.dp))
+                    .chain([s.clone()])
+                    .min()
+                    .expect("the identity image at least");
+                assert_eq!(sym.canonicalize(s.clone(), &mut scratch), want, "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn successors_share_what_their_transition_leaves_alone() {
+        let amo = crate::scaling_suite()
+            .into_iter()
+            .find(|e| e.0.starts_with("SCALE-AMO-3x3"))
+            .expect("fixture exists");
+        let mp_cfg = CheckConfig::cord(2, 2);
+        for (cfg, lit, placement) in [(&mp_cfg, &mp_shape(), vec![0, 1]), (&amo.1, &amo.2, amo.3)] {
+            let m = Model::new(cfg, lit, &placement);
+            let mut buf = Vec::new();
+            fn shared<T>(a: &[Arc<T>], b: &[Arc<T>]) -> usize {
+                a.iter().zip(b).filter(|(x, y)| Arc::ptr_eq(x, y)).count()
+            }
+            for s in m.reachable() {
+                let before = crate::explore::fingerprint(&s, &mut buf);
+                for (step, n) in m.successors_labeled(&s) {
+                    let threads = shared(&n.threads, &s.threads);
+                    let dirs = shared(&n.dirs, &s.dirs);
+                    match step {
+                        // A thread step writes its own thread alone…
+                        Step::Thread { t, .. } => {
+                            assert!(!Arc::ptr_eq(&n.threads[t as usize], &s.threads[t as usize]));
+                            assert_eq!(threads, s.threads.len() - 1, "{step:?}");
+                            assert_eq!(dirs, s.dirs.len(), "{step:?}");
+                        }
+                        // …and a delivery at most one thread and one directory.
+                        Step::Deliver(_) => {
+                            assert!(threads + 1 >= s.threads.len(), "{step:?}");
+                            assert!(dirs + 1 >= s.dirs.len(), "{step:?}");
+                        }
+                    }
+                }
+                assert_eq!(
+                    crate::explore::fingerprint(&s, &mut buf),
+                    before,
+                    "expanding a state must not change it"
+                );
+            }
+        }
     }
 
     #[test]

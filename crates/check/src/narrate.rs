@@ -14,14 +14,14 @@
 //!
 //! [`explore`]: crate::explore
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::collections::VecDeque;
 
 use cord_sim::trace::{render_event, TraceData, TraceEvent};
 use cord_sim::Time;
 
 use cord_proto::{FenceKind, StoreOrd};
 
+use crate::explore::{fingerprint, FpMap, FpSet};
 use crate::litmus::{LOp, Litmus};
 use crate::model::{CheckConfig, Model, NetMsg, State, Step};
 
@@ -43,12 +43,6 @@ impl Narrative {
     }
 }
 
-fn fingerprint(s: &State) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    s.hash(&mut h);
-    h.finish()
-}
-
 fn is_forbidden(lit: &Litmus, s: &State) -> bool {
     let flat = s.outcome();
     let split = flat.len() - lit.vars as usize;
@@ -68,15 +62,16 @@ pub fn narrate_violation(
 ) -> Option<Narrative> {
     let model = Model::new(cfg, lit, placement);
     let init = model.init();
-    let init_fp = fingerprint(&init);
-    let mut seen: HashSet<u64> = HashSet::new();
-    let mut parent: HashMap<u64, (u64, Step)> = HashMap::new();
+    let mut buf = Vec::new();
+    let init_fp = fingerprint(&init, &mut buf);
+    let mut seen = FpSet::default();
+    let mut parent: FpMap<(u64, Step)> = FpMap::default();
     let mut queue: VecDeque<State> = VecDeque::new();
     seen.insert(init_fp);
     queue.push_back(init.clone());
     let mut target: Option<u64> = None;
     'search: while let Some(s) = queue.pop_front() {
-        let fp = fingerprint(&s);
+        let fp = fingerprint(&s, &mut buf);
         let succ = model.successors_labeled(&s);
         if succ.is_empty() {
             if model.is_final(&s) && is_forbidden(lit, &s) {
@@ -89,7 +84,7 @@ pub fn narrate_violation(
             if seen.len() >= cap {
                 break 'search;
             }
-            let nfp = fingerprint(&n);
+            let nfp = fingerprint(&n, &mut buf);
             if seen.insert(nfp) {
                 parent.insert(nfp, (fp, step));
                 queue.push_back(n);
