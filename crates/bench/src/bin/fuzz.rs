@@ -8,10 +8,12 @@
 //!   (termination, RC-vs-baseline, differential model check,
 //!   panic-freedom), with 1-minimal shrinking of failures.
 //! * **Serve** (`--serve`): the long-lived coverage-guided mode. Seeds a
-//!   corpus from `tests/repros/` plus the on-disk corpus directory,
-//!   then runs an energy-scheduled mutate/generate loop where novel
-//!   trace-coverage admits scenarios back into the corpus. The corpus
-//!   directory is rewritten (greedily minimized) on exit, new
+//!   corpus from `tests/repros/`, plus the corpus directory only when
+//!   `--corpus DIR` names one: leftovers of earlier runs in the default
+//!   directory are never read, so a clean and a used checkout record the
+//!   same numbers. It then runs an energy-scheduled mutate/generate loop
+//!   where novel trace-coverage admits scenarios back into the corpus. The
+//!   corpus directory is rewritten (greedily minimized) on exit, new
 //!   counterexamples are shrunk and written under `--out`, and the
 //!   coverage record — per-engine edge counts, edges-over-iterations, and
 //!   the guided-vs-blind comparison at equal iteration count — lands in
@@ -32,7 +34,7 @@
 //!
 //! Campaign defaults: seed 1, 400 scenarios (64 with `--quick`), event cap
 //! 2M, repros under `results/fuzz-repros/`. Serve defaults: 400 iterations
-//! (200 with `--quick`), corpus under `results/fuzz-corpus/`.
+//! (200 with `--quick`), corpus written to `results/fuzz-corpus/`.
 //!
 //! `--replay PATH` re-executes one repro file — or, given a directory,
 //! every `*.repro` in it (file-name order, with the shared campaign
@@ -56,6 +58,8 @@ struct Args {
     model: bool,
     out: String,
     corpus: String,
+    /// `--corpus` was given: seed from that directory too.
+    corpus_given: bool,
     replay: Option<String>,
     serve: bool,
     check_coverage: bool,
@@ -82,6 +86,7 @@ fn parse_args() -> Args {
         model: true,
         out: "results/fuzz-repros".into(),
         corpus: "results/fuzz-corpus".into(),
+        corpus_given: false,
         replay: None,
         serve: false,
         check_coverage: false,
@@ -105,7 +110,10 @@ fn parse_args() -> Args {
             "--max-events" => args.max_events = val().parse().unwrap_or_else(|_| usage()),
             "--max-secs" => args.max_secs = Some(val().parse().unwrap_or_else(|_| usage())),
             "--out" => args.out = val(),
-            "--corpus" => args.corpus = val(),
+            "--corpus" => {
+                args.corpus = val();
+                args.corpus_given = true;
+            }
             "--replay" => args.replay = Some(val()),
             _ => usage(),
         }
@@ -309,12 +317,12 @@ fn serve(args: &Args) -> i32 {
         .max_secs
         .map(|s| std::time::Instant::now() + std::time::Duration::from_secs(s));
 
-    // Seed order: the committed corpus first, then whatever an earlier
-    // serve run left in the corpus directory.
+    // Seed order: the committed corpus first, then an explicitly named
+    // corpus directory (an earlier serve run's output).
     let committed = committed_corpus();
     let corpus_dir = std::path::Path::new(&args.corpus);
     let mut seeds = committed.clone();
-    if corpus_dir.is_dir() {
+    if args.corpus_given && corpus_dir.is_dir() {
         match cord_fuzz::corpus::load_dir(corpus_dir) {
             Ok((extra, warnings)) => {
                 for (name, e) in &warnings {

@@ -70,6 +70,38 @@ struct HeldReqNotify {
     recover: bool,
 }
 
+/// The held requests a state change can have made ready (see
+/// [`CordDir::progress`]).
+#[derive(Debug, Clone, Copy)]
+enum Wake {
+    /// Every request (a directory wake).
+    All,
+    /// One processor's requests: its largest committed epoch moved.
+    Proc(u32),
+    /// One processor epoch's requests: only that epoch's store or
+    /// notification count moved.
+    Epoch(u32, u64),
+}
+
+impl Wake {
+    fn covers(self, core: CoreId, ep: u64) -> bool {
+        match self {
+            Wake::All => true,
+            Wake::Proc(p) => p == core.0,
+            Wake::Epoch(p, e) => p == core.0 && e == ep,
+        }
+    }
+
+    /// The wake after a commit or a satisfied notification request, which
+    /// can move the processor's largest epoch or reclaim its counts.
+    fn widen(self) -> Wake {
+        match self {
+            Wake::Epoch(p, _) => Wake::Proc(p),
+            w => w,
+        }
+    }
+}
+
 /// Directory-side CORD engine.
 #[derive(Debug)]
 pub struct CordDir {
@@ -152,8 +184,9 @@ impl CordDir {
         self.cnt.get(&(core, ep)).copied().unwrap_or(0)
     }
 
-    /// Tries to commit a Release store; returns whether it committed.
-    fn try_release(&mut self, r: &HeldRelease, ctx: &mut DirCtx<'_>) -> bool {
+    /// Whether Release `r` may commit now. Every condition is keyed by
+    /// `r`'s processor (see [`CordDir::progress`]).
+    fn release_ready(&self, r: &HeldRelease) -> bool {
         let pid = r.src.0;
         // A recovery re-issue waives the store-count and notification checks:
         // the issuing core quiesced every in-flight store before re-issuing
@@ -166,9 +199,25 @@ impl CordDir {
         // `>=`, not `==`: recovery can duplicate notifications when both the
         // original and the re-issued ReqNotify produce one.
         let noti_ok = r.recover || self.noti.get(&(pid, r.ep)).copied().unwrap_or(0) >= r.noti_cnt;
-        if !(cnt_ok && prev_ok && noti_ok) {
+        cnt_ok && prev_ok && noti_ok
+    }
+
+    /// Whether request-for-notification `r` may be satisfied now.
+    fn reqnotify_ready(&self, r: &HeldReqNotify) -> bool {
+        let pid = r.core.0;
+        // Recovery re-issues waive the (wiped) store-count claim; the
+        // last-unacked-epoch gate is kept so notifications never race ahead
+        // of earlier Release stores homed here.
+        let cnt_ok = r.recover || self.relaxed_count(pid, r.ep) == r.relaxed_cnt;
+        cnt_ok && self.epoch_committed(pid, r.last_unacked_ep)
+    }
+
+    /// Tries to commit a Release store; returns whether it committed.
+    fn try_release(&mut self, r: &HeldRelease, ctx: &mut DirCtx<'_>) -> bool {
+        if !self.release_ready(r) {
             return false;
         }
+        let pid = r.src.0;
         let mut atomic_old = None;
         if let Some(add) = r.atomic {
             atomic_old = Some(ctx.mem.fetch_add(r.addr, add));
@@ -225,17 +274,11 @@ impl CordDir {
     /// Tries to satisfy a request-for-notification; returns whether the
     /// notification was sent.
     fn try_reqnotify(&mut self, r: &HeldReqNotify, ctx: &mut DirCtx<'_>) -> bool {
-        let pid = r.core.0;
-        // Recovery re-issues waive the (wiped) store-count claim; the
-        // last-unacked-epoch gate is kept so notifications never race ahead
-        // of earlier Release stores homed here.
-        let cnt_ok = r.recover || self.relaxed_count(pid, r.ep) == r.relaxed_cnt;
-        let prev_ok = self.epoch_committed(pid, r.last_unacked_ep);
-        if !(cnt_ok && prev_ok) {
+        if !self.reqnotify_ready(r) {
             return false;
         }
         // Reclaim the store-counter entry once the notification is sent.
-        self.cnt.remove(&(pid, r.ep));
+        self.cnt.remove(&(r.core.0, r.ep));
         ctx.trace(|| TraceData::TableEvict {
             node: "dir",
             id: self.id.0,
@@ -257,13 +300,26 @@ impl CordDir {
         true
     }
 
-    /// Re-examines every recycled request until a fixpoint: one commit can
+    /// Re-examines recycled requests until a fixpoint: one commit can
     /// unblock chained Releases and notifications.
-    fn progress(&mut self, ctx: &mut DirCtx<'_>) {
+    ///
+    /// Everything a held request waits on is keyed by its processor, and
+    /// the counts by its epoch too, so a request `wake` does not cover
+    /// cannot have become ready: it is skipped in place. A commit moves its
+    /// processor's largest epoch, so after any advance the wake widens to
+    /// the whole processor. The scan and `swap_remove` order, and with them
+    /// the commit order, stay those of a full scan, in which the skipped
+    /// requests would fail their checks.
+    fn progress(&mut self, mut wake: Wake, ctx: &mut DirCtx<'_>) {
         loop {
             let mut advanced = false;
             let mut i = 0;
             while i < self.held_rel.len() {
+                let h = &self.held_rel[i];
+                if !wake.covers(h.src, h.ep) {
+                    i += 1;
+                    continue;
+                }
                 let r = self.held_rel[i].clone();
                 if self.stale_epoch(r.src.0, r.ep) {
                     // A duplicate of an already-committed Release (its
@@ -284,18 +340,25 @@ impl CordDir {
                     self.held_rel.swap_remove(i);
                     self.trace_netbuf_evict(ctx);
                     advanced = true;
+                    wake = wake.widen();
                 } else {
                     i += 1;
                 }
             }
             let mut j = 0;
             while j < self.held_rfn.len() {
+                let h = &self.held_rfn[j];
+                if !wake.covers(h.core, h.ep) {
+                    j += 1;
+                    continue;
+                }
                 let r = self.held_rfn[j].clone();
                 if self.try_reqnotify(&r, ctx) {
                     self.buf_bytes -= r.wire_bytes;
                     self.held_rfn.swap_remove(j);
                     self.trace_netbuf_evict(ctx);
                     advanced = true;
+                    wake = wake.widen();
                 } else {
                     j += 1;
                 }
@@ -304,6 +367,19 @@ impl CordDir {
                 break;
             }
         }
+    }
+
+    /// The processor of a held request that could advance now, if any: the
+    /// full-scan oracle for [`CordDir::progress`]'s narrowed wakes.
+    fn ready_held(&self) -> Option<u32> {
+        let rel = self
+            .held_rel
+            .iter()
+            .find(|r| self.stale_epoch(r.src.0, r.ep) || self.release_ready(r));
+        rel.map(|r| r.src.0).or_else(|| {
+            let rfn = self.held_rfn.iter().find(|r| self.reqnotify_ready(r));
+            rfn.map(|r| r.core.0)
+        })
     }
 
     fn hold_release(&mut self, r: HeldRelease, ctx: &mut DirCtx<'_>) {
@@ -387,7 +463,7 @@ impl DirProtocol for CordDir {
                         occ: self.cnt.len() as u64,
                         cap: self.cnt.capacity() as u64,
                     });
-                    self.progress(ctx);
+                    self.progress(Wake::Epoch(pid, ep), ctx);
                 }
                 WtMeta::Release {
                     ep,
@@ -428,7 +504,7 @@ impl DirProtocol for CordDir {
                         recover,
                     };
                     if self.try_release(&r, ctx) {
-                        self.progress(ctx);
+                        self.progress(Wake::Proc(src.0), ctx);
                     } else {
                         self.hold_release(r, ctx);
                     }
@@ -483,7 +559,7 @@ impl DirProtocol for CordDir {
                                 },
                             ),
                         );
-                        self.progress(ctx);
+                        self.progress(Wake::Epoch(src.0, ep), ctx);
                     }
                     WtMeta::Release {
                         ep,
@@ -519,7 +595,7 @@ impl DirProtocol for CordDir {
                             recover,
                         };
                         if self.try_release(&r, ctx) {
-                            self.progress(ctx);
+                            self.progress(Wake::Proc(src.0), ctx);
                         } else {
                             self.hold_release(r, ctx);
                         }
@@ -603,7 +679,7 @@ impl DirProtocol for CordDir {
                     occ: self.noti.len() as u64,
                     cap: self.noti.capacity() as u64,
                 });
-                self.progress(ctx);
+                self.progress(Wake::Epoch(core.0, ep), ctx);
             }
             MsgKind::ReadReq { tid, addr, bytes } => {
                 let value = ctx.mem.load(addr);
@@ -618,10 +694,18 @@ impl DirProtocol for CordDir {
             }
             other => panic!("CordDir: unexpected message {other:?}"),
         }
+        // `progress` wakes only the requests a message can have unblocked,
+        // which matches a full scan only while no other one is ready.
+        debug_assert_eq!(
+            self.ready_held(),
+            None,
+            "CordDir {}: a held request of this processor is ready but unwoken",
+            self.id.0
+        );
     }
 
     fn retry(&mut self, ctx: &mut DirCtx<'_>) {
-        self.progress(ctx);
+        self.progress(Wake::All, ctx);
     }
 
     fn storage(&self) -> DirStorage {
@@ -997,6 +1081,65 @@ mod tests {
             .count();
         assert_eq!(notifies, 1, "exactly one notification after recovery");
         assert_eq!(rig.dir.buffered_bytes(), 0, "held duplicate purged");
+    }
+
+    /// Sums the requests cores re-issue to crashed directories.
+    struct Reissues(u64);
+
+    impl cord_sim::trace::TraceSink for Reissues {
+        fn emit(&mut self, ev: &cord_sim::trace::TraceEvent) {
+            if let TraceData::RecoverEnd { sends, .. } = ev.data {
+                self.0 += u64::from(sends);
+            }
+        }
+    }
+
+    /// A causal-KV run: every client issues sessions of Relaxed puts to
+    /// keys on other hosts, each closed by a Release to the client's own
+    /// log, and two directories crash mid-run. In debug builds `on_msg`'s
+    /// full-scan oracle checks after every message that the narrowed wakes
+    /// of `progress` left no held request ready.
+    #[test]
+    fn narrowed_wakes_match_a_full_scan_through_crash_recovery() {
+        use cord_proto::Program;
+        use cord_sim::trace::Shared;
+
+        let cfg = SystemConfig::cxl(ProtocolKind::Cord, 4);
+        let (hosts, tph) = (cfg.noc.hosts, cfg.noc.tiles_per_host);
+        let sessions = 12;
+        let log = |t: u32| cfg.map.addr_on_host(t / tph, (1 << 20) + 64 * u64::from(t));
+        let programs: Vec<Program> = (0..hosts * tph)
+            .map(|t| {
+                let mut b = Program::build();
+                for s in 0..sessions {
+                    for k in 0..3 {
+                        let key = u64::from(t) * 7 + s * 5 + k * 3;
+                        let host = (t / tph + 1 + (key % u64::from(hosts - 1)) as u32) % hosts;
+                        let at = cfg.map.addr_on_host(host, 64 * key);
+                        b = b.store(at, 64, s + 1, StoreOrd::Relaxed);
+                    }
+                    b = b.store_release(log(t), s + 1);
+                }
+                b.finish()
+            })
+            .collect();
+        let run = |faults: Option<String>| {
+            let mut sys = crate::System::new(cfg.clone(), programs.clone());
+            let reissues = Shared::new(Reissues(0));
+            sys.tracer_mut().install(Box::new(reissues.clone()));
+            if let Some(spec) = faults {
+                sys.set_fault_spec(&spec).expect("fault spec");
+            }
+            let makespan = sys.run().makespan;
+            for t in 0..hosts * tph {
+                assert_eq!(sys.mem_peek(log(t)), sessions, "client {t}'s last session");
+            }
+            (makespan, reissues.with(|r| r.0))
+        };
+        let ns = run(None).0.as_ns();
+        let spec = format!("seed=5; crash.dir.1={}; crash.dir.2={}", ns / 3, ns / 2);
+        let (_, reissued) = run(Some(spec));
+        assert!(reissued > 0, "the crashes re-issued no request");
     }
 
     #[test]

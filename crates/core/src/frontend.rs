@@ -41,10 +41,13 @@ enum FeState {
     Done,
 }
 
-/// Per-core program executor.
+/// Per-core program executor, owning the run's one copy of its program.
 #[derive(Debug)]
 pub struct Frontend {
-    program: Program,
+    /// Read in place; moved in by [`System`](crate::System), and by a
+    /// sharded run into the owning partition's frontend (and back when the
+    /// run succeeds).
+    pub(crate) program: Program,
     pc: usize,
     regs: [u64; 16],
     state: FeState,
@@ -197,7 +200,7 @@ impl Frontend {
         acts: &mut Vec<FeAction>,
         trace: Option<&mut Tracer>,
     ) {
-        let Some(op) = self.program.op(self.pc).cloned() else {
+        let Some(&op) = self.program.op(self.pc) else {
             self.end_stall(now);
             self.state = FeState::Done;
             self.finish = Some(now);

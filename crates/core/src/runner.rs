@@ -422,9 +422,6 @@ pub struct System {
     /// Liveness watchdog window: trip when no core makes forward progress
     /// for this much simulated time. Defaults on (1 ms) in fault mode.
     pub(crate) watchdog: Option<Time>,
-    /// The programs loaded at construction, kept so the sharded runner can
-    /// rebuild per-partition frontends.
-    pub(crate) programs: Vec<Program>,
     /// Fault spec as installed (plan + transport config), kept so partitions
     /// can mirror it.
     pub(crate) fault_spec: Option<(FaultPlan, TransportConfig)>,
@@ -479,10 +476,12 @@ impl System {
 
     /// Core constructor shared by [`System::new`] (full system, `tile_base`
     /// 0) and the sharded engine's partition builder, which passes one
-    /// host's program slice plus that host's global first-tile index. Builds
-    /// exactly `programs.len()` tiles — a partition allocates O(tiles/host)
-    /// state, not O(total tiles) — and consults no environment variables
-    /// (the caller mirrors whatever configuration should apply).
+    /// host's programs, moved out of the parent's frontends, plus that
+    /// host's global first-tile index. Each program moves into its core's
+    /// [`Frontend`], the one copy the run keeps. Builds exactly
+    /// `programs.len()` tiles — a partition allocates O(tiles/host) state,
+    /// not O(total tiles) — and consults no environment variables (the
+    /// caller mirrors whatever configuration should apply).
     pub(crate) fn build(
         cfg: SystemConfig,
         noc: Noc,
@@ -496,8 +495,8 @@ impl System {
         let mut queue = EventQueue::with_capacity(4 * count);
         let mut fes = Vec::with_capacity(count);
         let mut engines = Vec::with_capacity(count);
-        for (i, p) in programs.iter().enumerate() {
-            let fe = Frontend::new(p.clone(), &cfg.costs);
+        for (i, p) in programs.into_iter().enumerate() {
+            let fe = Frontend::new(p, &cfg.costs);
             let FeAction::StepAt { at, gen } = fe.initial_action();
             queue.push(
                 at,
@@ -529,7 +528,6 @@ impl System {
             tracer: Tracer::disabled(),
             xport: None,
             watchdog: None,
-            programs,
             fault_spec: None,
             sim_threads: None,
             part: None,
@@ -1565,7 +1563,7 @@ fn sim_threads_from_env() -> Option<usize> {
 mod tests {
     use super::*;
     use cord_noc::MsgClass;
-    use cord_proto::{ConsistencyModel, LoadOrd, ProtocolKind};
+    use cord_proto::{ConsistencyModel, LoadOrd, Op, ProtocolKind};
 
     /// Producer on host 0 writes `n` relaxed words + release flag into host
     /// 1's memory; consumer on host 1 polls the flag then reads a word.
@@ -1601,6 +1599,19 @@ mod tests {
         let cfg = SystemConfig::cxl(kind, 2);
         let programs = producer_consumer(&cfg, 16);
         System::new(cfg, programs).run()
+    }
+
+    #[test]
+    fn frontends_read_the_callers_program_buffers() {
+        let cfg = SystemConfig::cxl(ProtocolKind::Cord, 2);
+        let programs = producer_consumer(&cfg, 16);
+        let buffers = |ps: Vec<&Program>| -> Vec<*const Op> {
+            ps.iter().map(|p| p.iter().as_slice().as_ptr()).collect()
+        };
+        let before = buffers(programs.iter().collect());
+        let sys = System::new(cfg, programs);
+        let after = buffers(sys.fes.iter().map(|fe| &fe.program).collect());
+        assert_eq!(after, before, "System::new copied a program");
     }
 
     #[test]

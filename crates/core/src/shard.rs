@@ -289,21 +289,22 @@ impl System {
 
 /// Builds the partition for `host`: a **sparse** `System` holding only that
 /// host's tiles (its frontends, engines, directory slices and memories),
-/// with transport, tracer and fault state mirrored from the parent. Tile
+/// with transport, tracer and fault state mirrored from the parent. Its
+/// frontends take the programs out of the parent's, so no program is
+/// copied; [`System::finish_run`] swaps the frontends back on success. Tile
 /// identities stay global (`tile_base = host × tiles_per_host`), so events,
 /// traces and engine ids are bit-identical to the monolithic engine's; only
 /// the vectors are host-local. The fabric's per-pair latency table is shared
 /// with the parent via [`cord_noc::Noc::fork`], so 512 partitions cost
 /// O(hosts²) once, not per partition.
-fn make_partition(parent: &System, host: u32) -> System {
+fn make_partition(parent: &mut System, host: u32) -> System {
     let tph = parent.cfg.noc.tiles_per_host;
     let lo = (host * tph) as usize;
-    let mut s = System::build(
-        parent.cfg.clone(),
-        parent.noc.fork(),
-        parent.programs[lo..lo + tph as usize].to_vec(),
-        host * tph,
-    );
+    let programs = parent.fes[lo..lo + tph as usize]
+        .iter_mut()
+        .map(|fe| std::mem::take(&mut fe.program))
+        .collect();
+    let mut s = System::build(parent.cfg.clone(), parent.noc.fork(), programs, host * tph);
     // `System::build` never consults the environment; partitions mirror the
     // parent's *effective* state instead, which may have been set
     // programmatically.
@@ -352,13 +353,12 @@ fn drain_inbox(s: &mut System, me: usize, coord: &Coord) {
 /// lane, so the per-batch index is unambiguous.
 fn flush_outbox(s: &mut System, me: usize, coord: &Coord) {
     let part = s.part.as_mut().expect("partition state");
-    for (&dst, msgs) in part.outbox.iter_mut() {
-        if msgs.is_empty() {
-            continue;
-        }
+    // Taking the map keeps the outbox sparse: a lane kept, even empty, for
+    // every destination ever written would hold O(hosts²) buffers.
+    for (dst, msgs) in std::mem::take(&mut part.outbox) {
         let mut lane = coord.mailboxes[dst as usize].lock().expect("mailbox");
         lane.extend(
-            msgs.drain(..)
+            msgs.into_iter()
                 .enumerate()
                 .map(|(idx, cm)| (me as u32, idx as u32, cm)),
         );
@@ -670,10 +670,10 @@ impl System {
         let tph = self.cfg.noc.tiles_per_host as usize;
         for (h, sh) in shards.into_iter().enumerate() {
             let System {
-                fes,
-                engines,
-                dir_engines,
-                mems,
+                mut fes,
+                mut engines,
+                mut dir_engines,
+                mut mems,
                 noc,
                 ..
             } = sh;
@@ -681,21 +681,13 @@ impl System {
             // the *source* partition's egress, so summing per-partition rows
             // reproduces the monolithic flows without double counting.
             self.noc.absorb(noc);
-            // Partitions are sparse: their vectors hold only their own host's
-            // tiles, so local index `t` maps to global `lo + t`.
+            // Partitions are sparse: their vectors hold exactly their own
+            // host's tiles, which are tiles `lo..lo + tph` here.
             let lo = h * tph;
-            for (t, fe) in fes.into_iter().enumerate() {
-                self.fes[lo + t] = fe;
-            }
-            for (t, e) in engines.into_iter().enumerate() {
-                self.engines[lo + t] = e;
-            }
-            for (t, d) in dir_engines.into_iter().enumerate() {
-                self.dir_engines[lo + t] = d;
-            }
-            for (t, m) in mems.into_iter().enumerate() {
-                self.mems[lo + t] = m;
-            }
+            self.fes[lo..lo + tph].swap_with_slice(&mut fes);
+            self.engines[lo..lo + tph].swap_with_slice(&mut engines);
+            self.dir_engines[lo..lo + tph].swap_with_slice(&mut dir_engines);
+            self.mems[lo..lo + tph].swap_with_slice(&mut mems);
         }
 
         self.check_finished()?;
@@ -704,5 +696,44 @@ impl System {
         result.obs = self.tracer.take_series();
         result.profile = self.tracer.take_profile();
         Ok(result)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use cord_proto::{Op, Program, ProtocolKind, SystemConfig};
+
+    use crate::System;
+
+    /// The address of each program's ops buffer.
+    fn op_buffers<'a>(programs: impl Iterator<Item = &'a Program>) -> Vec<*const Op> {
+        programs.map(|p| p.iter().as_slice().as_ptr()).collect()
+    }
+
+    #[test]
+    fn sharded_runs_copy_no_program() {
+        for workers in [1, 2] {
+            let cfg = SystemConfig::cxl(ProtocolKind::Cord, 4);
+            // Every core publishes into the next host, so every program is
+            // non-empty and owns a distinct buffer.
+            let hosts = cfg.noc.hosts;
+            let programs: Vec<Program> = (0..cfg.total_tiles())
+                .map(|t| {
+                    let host = (t / cfg.noc.tiles_per_host + 1) % hosts;
+                    let flag = cfg.map.addr_on_host(host, 64 * t as u64);
+                    Program::build()
+                        .store_relaxed(flag.offset(8), 1)
+                        .store_release(flag, 1)
+                        .finish()
+                })
+                .collect();
+            let before = op_buffers(programs.iter());
+            let mut sys = System::new(cfg, programs);
+            sys.set_sim_threads(Some(workers));
+            sys.run();
+            assert!(sys.fes.iter().all(|fe| fe.is_done()));
+            let after = op_buffers(sys.fes.iter().map(|fe| &fe.program));
+            assert_eq!(after, before, "{workers} worker(s) copied a program");
+        }
     }
 }

@@ -40,7 +40,7 @@ pub enum FenceKind {
 }
 
 /// One operation in a core's program.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// A write-through (or, under the WB baseline, write-back) store of
     /// `bytes` bytes starting at `addr`. `value` is written to the first
