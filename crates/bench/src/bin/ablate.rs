@@ -9,13 +9,14 @@
 //! 3. **Reserved header bits**: what Relaxed-store traffic would cost if
 //!    CXL's reserved bits were unavailable for the epoch number.
 
-use cord::System;
+use cord::{RunConfig, System};
 use cord_bench::sweep::{run_recorded, Job};
 use cord_bench::{config, print_table, Fabric};
 use cord_proto::{ConsistencyModel, Op, Program, ProtocolKind, StoreOrd, SystemConfig};
 use cord_workloads::{MicroBench, Region};
 
 fn main() {
+    RunConfig::from_env_or_exit().install();
     notifications_vs_source_join();
     table_provisioning();
     reserved_bits();

@@ -30,9 +30,9 @@
 
 use std::time::Instant;
 
-use cord::{RunError, RunResult, System};
+use cord::{RunConfig, RunError, RunResult, System};
 use cord_bench::print_table;
-use cord_bench::sweep::Recorder;
+use cord_bench::sweep::{json_path, Recorder};
 use cord_proto::{Program, ProtocolKind, SystemConfig};
 use cord_sim::obs::{render_flight, Progress};
 use cord_sim::Time;
@@ -146,6 +146,7 @@ fn write_flight_dump(label: &str, text: &str) {
 }
 
 fn main() {
+    RunConfig::from_env_or_exit().install();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let mut tier_filter: Option<String> = None;
@@ -191,13 +192,10 @@ fn main() {
         ENGINES.map(ProtocolKind::label)
     );
 
-    if std::env::var_os("CORD_BENCH_JSON").is_none() {
-        std::env::set_var("CORD_BENCH_JSON", "results/BENCH_chaos.json");
-    }
     let seeds: &[u64] = if quick { &[7] } else { &[7, 41, 1234] };
     let (rounds, words) = if quick { (4, 8) } else { (8, 16) };
 
-    let mut rec = Recorder::new("chaos");
+    let mut rec = Recorder::new("chaos").at_path(json_path("results/BENCH_chaos.json"));
     // Campaign size, counted up front for the status line: engines × their
     // eligible workloads × plans in selected tiers × seeds.
     let workloads_for = |kind: ProtocolKind| if kind.global_rc() { 2u64 } else { 1 };

@@ -28,7 +28,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use cord::System;
+use cord::{RunConfig, System};
 use cord_bench::{gate, print_table};
 use cord_proto::{ConsistencyModel, ProtocolKind, SystemConfig};
 use cord_sim::obs::Progress;
@@ -319,6 +319,7 @@ fn json_escape(s: &str) -> String {
 }
 
 fn main() {
+    RunConfig::from_env_or_exit().install();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let no_compare = args.iter().any(|a| a == "--no-compare");

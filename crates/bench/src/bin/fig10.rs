@@ -8,7 +8,7 @@
 //! SEQ-40 (the fast baseline), traffic to SEQ-8 (the lean baseline):
 //! CORD should match both simultaneously.
 
-use cord::System;
+use cord::{RunConfig, System};
 use cord_bench::sweep::{run_recorded, Job};
 use cord_bench::{config, print_table, Fabric};
 use cord_proto::{ConsistencyModel, ProtocolKind, SystemConfig};
@@ -57,6 +57,7 @@ fn variants(fabric: Fabric) -> Vec<(String, SystemConfig)> {
 }
 
 fn main() {
+    RunConfig::from_env_or_exit().install();
     let per_fabric: Vec<(Fabric, Vec<(String, SystemConfig)>)> =
         Fabric::BOTH.into_iter().map(|f| (f, variants(f))).collect();
     let jobs: Vec<Job<_>> = per_fabric

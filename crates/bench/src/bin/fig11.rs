@@ -20,6 +20,7 @@ const HOSTS: [u32; 3] = [2, 4, 8];
 const WIDE_HOSTS: [u32; 6] = [16, 32, 64, 128, 256, 512];
 
 fn main() {
+    cord::RunConfig::from_env_or_exit().install();
     let wide = std::env::args().any(|a| a == "--wide");
     let apps: Vec<AppSpec> = APPS
         .iter()

@@ -13,6 +13,7 @@ use cord_workloads::AppSpec;
 const HOSTS: [u32; 3] = [2, 4, 8];
 
 fn main() {
+    cord::RunConfig::from_env_or_exit().install();
     let app = AppSpec::ata();
     let app = &app;
     let jobs: Vec<Job<_>> = Fabric::BOTH

@@ -7,7 +7,7 @@
 //! orders its point-to-point channels (an efficiency upper bound — it still
 //! does not provide global TSO).
 
-use cord::RunResult;
+use cord::{RunConfig, RunResult};
 use cord_bench::sweep::{run_recorded, Job};
 use cord_bench::{geomean, print_table, ratio, run_app, Fabric};
 use cord_proto::{ConsistencyModel, ProtocolKind};
@@ -24,6 +24,7 @@ fn schemes(app: &AppSpec) -> Vec<ProtocolKind> {
 }
 
 fn main() {
+    RunConfig::from_env_or_exit().install();
     let apps: Vec<_> = table2_apps()
         .into_iter()
         .filter(|a| a.name != "ATA")

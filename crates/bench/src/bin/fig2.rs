@@ -12,6 +12,7 @@ use cord_proto::{ConsistencyModel, ProtocolKind, StallCause};
 use cord_workloads::table2_apps;
 
 fn main() {
+    cord::RunConfig::from_env_or_exit().install();
     let apps: Vec<_> = table2_apps()
         .into_iter()
         .filter(|a| a.name != "ATA")

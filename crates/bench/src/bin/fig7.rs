@@ -5,7 +5,7 @@
 //! y-axes), plus geometric means. TQH cannot run under naive message
 //! passing (paper §3.2), so its MP cells are n/a.
 
-use cord::RunResult;
+use cord::{RunConfig, RunResult};
 use cord_bench::sweep::{run_recorded, Job};
 use cord_bench::{geomean, print_table, ratio, run_app, Fabric};
 use cord_proto::{ConsistencyModel, ProtocolKind};
@@ -22,6 +22,7 @@ fn schemes(app: &AppSpec) -> Vec<ProtocolKind> {
 }
 
 fn main() {
+    RunConfig::from_env_or_exit().install();
     let apps: Vec<_> = table2_apps()
         .into_iter()
         .filter(|a| a.name != "ATA")

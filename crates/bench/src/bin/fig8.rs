@@ -55,6 +55,7 @@ fn sweep(name: &str, title: &str, points: &[(String, MicroBench)]) {
 }
 
 fn main() {
+    cord::RunConfig::from_env_or_exit().install();
     // Store granularity sweep: 8 B – 4 KB (sync 4 KB, fanout 1).
     let store_points: Vec<(String, MicroBench)> = [8u32, 64, 256, 1024, 4096]
         .into_iter()

@@ -58,6 +58,7 @@ fn sweep(name: &str, title: &str, variants: &[(String, MicroBench)]) {
 }
 
 fn main() {
+    cord::RunConfig::from_env_or_exit().install();
     // Store granularity variants (sync 4 KB, fanout 1).
     let stores: Vec<(String, MicroBench)> = [8u32, 64, 4096]
         .into_iter()

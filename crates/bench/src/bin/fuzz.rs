@@ -40,6 +40,7 @@
 //! every `*.repro` in it (file-name order, with the shared campaign
 //! progress line on stderr) — and exits non-zero on any `expect` mismatch.
 
+use cord::RunConfig;
 use cord_bench::print_table;
 use cord_bench::sweep::{json_path, Recorder};
 use cord_fuzz::{
@@ -244,10 +245,16 @@ fn replay_dir(dir: &std::path::Path) -> i32 {
     }
 }
 
+/// The campaign's benchmark record: `CORD_BENCH_JSON` when set, else
+/// `results/BENCH_fuzz.json`.
+fn record_path() -> std::path::PathBuf {
+    json_path("results/BENCH_fuzz.json")
+}
+
 /// Scrapes the recorded `cov/corpus` distinct-edge count out of the
 /// `fuzz-serve` entry in the benchmark record, if present.
 fn recorded_corpus_edges() -> Option<u64> {
-    let text = std::fs::read_to_string(json_path()).ok()?;
+    let text = std::fs::read_to_string(record_path()).ok()?;
     let entry = text
         .lines()
         .find(|l| l.contains("\"key\":\"fuzz-serve\""))?;
@@ -275,7 +282,7 @@ fn check_coverage() -> i32 {
         eprintln!(
             "no cov/corpus baseline under key \"fuzz-serve\" in {} — \
              run `fuzz --serve --quick` to record one",
-            json_path().display()
+            record_path().display()
         );
         return 2;
     };
@@ -393,7 +400,7 @@ fn serve(args: &Args) -> i32 {
     // Benchmark record: simulated/derived quantities only.
     let guided_edges = guided.corpus.union.distinct() as u64;
     let blind_edges = blind.distinct() as u64;
-    let mut rec = Recorder::new_deterministic("fuzz-serve");
+    let mut rec = Recorder::new_deterministic("fuzz-serve").at_path(record_path());
     rec.record_with_metrics(
         "cov/corpus",
         0.0,
@@ -486,12 +493,17 @@ fn serve(args: &Args) -> i32 {
 }
 
 fn main() {
+    let args = parse_args();
     // A scenario's fault spec is its only fault source; an inherited
-    // environment spec would corrupt the fault-free baselines. Coverage
+    // `CORD_FAULTS` would corrupt the fault-free baselines. Coverage
     // records additionally pin the engine choice (monolithic vs sharded)
     // so the recorded maps are environment-independent.
-    std::env::remove_var("CORD_FAULTS");
-    let args = parse_args();
+    let mut run = RunConfig::from_env_or_exit();
+    run.faults = None;
+    if args.serve || args.check_coverage {
+        run.sim_threads = None;
+    }
+    run.install();
     if let Some(path) = &args.replay {
         let p = std::path::Path::new(path);
         let code = if p.is_dir() {
@@ -500,12 +512,6 @@ fn main() {
             replay_file(path)
         };
         std::process::exit(code);
-    }
-    if std::env::var_os("CORD_BENCH_JSON").is_none() {
-        std::env::set_var("CORD_BENCH_JSON", "results/BENCH_fuzz.json");
-    }
-    if args.serve || args.check_coverage {
-        std::env::remove_var("CORD_SIM_THREADS");
     }
     if args.check_coverage {
         std::process::exit(check_coverage());
@@ -531,7 +537,7 @@ fn main() {
 
     // Benchmark record: simulated quantities only, so the file is
     // byte-identical for a given (seed, count) at any worker count.
-    let mut rec = Recorder::new_deterministic("fuzz");
+    let mut rec = Recorder::new_deterministic("fuzz").at_path(record_path());
     for o in &campaign.outcomes {
         rec.record(&o.label, 0.0, o.report.sim_ns);
     }

@@ -7,7 +7,7 @@
 //! fabrics: directory ordering saves a full fabric round-trip per
 //! synchronization, so its advantage *grows* with fabric depth.
 
-use cord::System;
+use cord::{RunConfig, System};
 use cord_bench::print_table;
 use cord_bench::sweep::{run_recorded, Job};
 use cord_noc::{NocConfig, PodConfig};
@@ -38,6 +38,7 @@ const POINTS: [(ProtocolKind, bool, &str); 4] = [
 ];
 
 fn main() {
+    RunConfig::from_env_or_exit().install();
     let apps: Vec<_> = table2_apps()
         .into_iter()
         .filter(|a| a.name != "ATA")

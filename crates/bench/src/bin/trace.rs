@@ -25,7 +25,7 @@
 //! fault spec, so a fuzzer counterexample can be inspected event by event
 //! in Perfetto. `--faults` still overrides the file's spec.
 
-use cord::System;
+use cord::{RunConfig, System};
 use cord_bench::{config, Fabric};
 use cord_proto::{ConsistencyModel, ProtocolKind};
 use cord_sim::obs;
@@ -202,14 +202,18 @@ fn replay_flight(path: &str, tail: usize) {
 
 fn main() {
     let mut args = parse_args();
+    let mut run = RunConfig::from_env_or_exit();
+    if args.repro.is_some() {
+        // `CORD_FAULTS` must not leak into a repro replay; the file's own
+        // spec (or an explicit `--faults`) is the only fault source.
+        run.faults = None;
+    }
+    run.install();
     if let Some(path) = args.flight.clone() {
         replay_flight(&path, args.tail);
         return;
     }
     let (cfg, label, programs, fabric) = if let Some(path) = &args.repro {
-        // `CORD_FAULTS` must not leak into a repro replay; the file's own
-        // spec (or an explicit `--faults`) is the only fault source.
-        std::env::remove_var("CORD_FAULTS");
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read {path}: {e}");
             std::process::exit(2)

@@ -191,18 +191,20 @@ impl Recorder {
             json_str(&self.sweep),
             self.threads
         );
-        let path = self.path.unwrap_or_else(json_path);
+        let path = self
+            .path
+            .unwrap_or_else(|| json_path("results/BENCH_sweeps.json"));
         if let Err(e) = merge_entry(&path, &key, &entry) {
             eprintln!("warning: could not record sweep {key}: {e}");
         }
     }
 }
 
-/// The sweep-record path: `CORD_BENCH_JSON` or `results/BENCH_sweeps.json`.
-pub fn json_path() -> PathBuf {
+/// A sweep-record path: `CORD_BENCH_JSON` when set, else `default`.
+pub fn json_path(default: &str) -> PathBuf {
     std::env::var_os("CORD_BENCH_JSON")
         .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results/BENCH_sweeps.json"))
+        .unwrap_or_else(|| PathBuf::from(default))
 }
 
 fn json_str(s: &str) -> String {
@@ -260,8 +262,14 @@ fn merge_entry(path: &std::path::Path, key: &str, entry: &str) -> std::io::Resul
 mod tests {
     use super::*;
 
-    /// Serializes tests that point `CORD_BENCH_JSON` at private temp files.
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    /// A fresh record file under the temp directory.
+    fn temp_record(dir: &str, file: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(file);
+        let _ = std::fs::remove_file(&path);
+        path
+    }
 
     #[test]
     fn timed_results_arrive_in_input_order() {
@@ -280,17 +288,11 @@ mod tests {
 
     #[test]
     fn metrics_field_is_embedded_verbatim() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let dir = std::env::temp_dir().join("cord_sweep_metrics_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_sweeps.json");
-        let _ = std::fs::remove_file(&path);
-        std::env::set_var("CORD_BENCH_JSON", &path);
-        let mut r = Recorder::new("unit-metrics");
+        let path = temp_record("cord_sweep_metrics_test", "BENCH_sweeps.json");
+        let mut r = Recorder::new("unit-metrics").at_path(&path);
         r.record_with_metrics("a", 1.0, 2.0, Some("{\"events\":7}".into()));
         r.record("b", 3.0, 4.0);
         r.finish();
-        std::env::remove_var("CORD_BENCH_JSON");
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"metrics\":{\"events\":7}"), "{text}");
         // The run without metrics must not gain an empty field.
@@ -303,21 +305,15 @@ mod tests {
 
     #[test]
     fn deterministic_recorder_writes_stable_bytes() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let dir = std::env::temp_dir().join("cord_sweep_det_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_fuzz.json");
-        let _ = std::fs::remove_file(&path);
-        std::env::set_var("CORD_BENCH_JSON", &path);
+        let path = temp_record("cord_sweep_det_test", "BENCH_fuzz.json");
         let write_once = || {
-            let mut r = Recorder::new_deterministic("fuzz");
+            let mut r = Recorder::new_deterministic("fuzz").at_path(&path);
             r.record("s0000/CORD/pass", 0.0, 123.4);
             r.finish();
             std::fs::read_to_string(&path).unwrap()
         };
         let first = write_once();
         let second = write_once();
-        std::env::remove_var("CORD_BENCH_JSON");
         assert_eq!(first, second, "re-running must not change a single byte");
         assert!(first.contains("\"key\":\"fuzz\""), "{first}");
         assert!(first.contains("\"threads\":0"), "{first}");
@@ -327,17 +323,10 @@ mod tests {
 
     #[test]
     fn at_path_and_with_threads_override_destination_and_key() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let dir = std::env::temp_dir().join("cord_sweep_at_path_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_check.json");
-        let _ = std::fs::remove_file(&path);
-        // Point the shared file somewhere else to prove at_path wins.
-        std::env::set_var("CORD_BENCH_JSON", "/dev/null");
+        let path = temp_record("cord_sweep_at_path_test", "BENCH_check.json");
         let mut r = Recorder::new("check").with_threads(8).at_path(&path);
         r.record("MP@[0, 1]", 1.0, 0.0);
         r.finish();
-        std::env::remove_var("CORD_BENCH_JSON");
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"key\":\"check#t8\""), "{text}");
         assert!(text.contains("\"threads\":8"), "{text}");
@@ -346,19 +335,13 @@ mod tests {
 
     #[test]
     fn merge_keeps_one_entry_per_key() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let dir = std::env::temp_dir().join("cord_sweep_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_sweeps.json");
-        let _ = std::fs::remove_file(&path);
-        std::env::set_var("CORD_BENCH_JSON", &path);
-        let mut r = Recorder::new("unit");
+        let path = temp_record("cord_sweep_test", "BENCH_sweeps.json");
+        let mut r = Recorder::new("unit").at_path(&path);
         r.record("a", 1.0, 2.0);
         r.finish();
-        let mut r = Recorder::new("unit");
+        let mut r = Recorder::new("unit").at_path(&path);
         r.record("b", 3.0, 4.0);
         r.finish();
-        std::env::remove_var("CORD_BENCH_JSON");
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.matches("\"sweep\":\"unit\"").count(), 1, "{text}");
         assert!(text.contains("\"label\":\"b\""), "{text}");

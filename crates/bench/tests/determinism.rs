@@ -93,6 +93,9 @@ fn explore_serial(cfg: &CheckConfig, lit: &Litmus, cap: usize) -> Vec<(Vec<u8>, 
 /// order — for MP, SO, and CORD systems on the ISA2 and MP litmus shapes.
 /// `CORD_THREADS` is pinned so the parallel path is exercised even on a
 /// single-core machine (this file's other test does not read it).
+// `CORD_THREADS` is the campaign pool's own knob, read by `cord_sim::par`
+// and outside `cord::RunConfig`, so pinning it takes an env write.
+#[allow(clippy::disallowed_methods)]
 #[test]
 fn placement_campaign_parallel_matches_serial() {
     const CAP: usize = 1_000_000;

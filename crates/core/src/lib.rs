@@ -46,6 +46,7 @@ mod cord_core;
 mod cord_dir;
 mod frontend;
 mod hybrid;
+mod run_config;
 mod runner;
 mod shard;
 mod tables;
@@ -55,5 +56,6 @@ pub use cord_core::{CordCore, PROC_CNT_ENTRY_BYTES, PROC_UNACKED_ENTRY_BYTES};
 pub use cord_dir::{CordDir, DIR_CNT_ENTRY_BYTES, DIR_LARGEST_ENTRY_BYTES, DIR_NOTI_ENTRY_BYTES};
 pub use frontend::{FeAction, Frontend};
 pub use hybrid::{HybridCore, HybridDir, WbWindow};
+pub use run_config::RunConfig;
 pub use runner::{RunError, RunResult, System};
 pub use tables::LookupTable;

@@ -25,6 +25,7 @@ use cord_sim::{EventQueue, Time};
 
 use crate::any::{AnyCore, AnyDir};
 use crate::frontend::{FeAction, Frontend};
+use crate::run_config::RunConfig;
 use crate::shard::LoopState;
 
 /// Events driving the simulation.
@@ -314,15 +315,15 @@ pub struct RunResult {
     pub polls: u64,
     /// Events processed.
     pub events: u64,
-    /// Trace-derived metrics, when a `MetricsRecorder` was attached (from
-    /// the environment or via [`System::tracer_mut`]).
+    /// Trace-derived metrics, when a `MetricsRecorder` was attached (by
+    /// the installed [`RunConfig`] or via [`System::tracer_mut`]).
     pub metrics: Option<MetricsSnapshot>,
-    /// Sim-time-sampled observability series, when sampling was armed (from
-    /// the environment or via [`System::set_sampling`]). Deterministic:
+    /// Sim-time-sampled observability series, when sampling was armed (by
+    /// the installed [`RunConfig`] or via [`System::set_sampling`]). Deterministic:
     /// bit-identical at any worker count.
     pub obs: Option<SeriesSet>,
-    /// Wall-clock self-profile, when profiling was armed (from the
-    /// environment or via [`System::set_profiling`]). Non-deterministic by
+    /// Wall-clock self-profile, when profiling was armed (by the installed
+    /// [`RunConfig`] or via [`System::set_profiling`]). Non-deterministic by
     /// construction — never part of run fingerprints.
     pub profile: Option<ProfileSummary>,
     /// Sparse per-host-pair flow counters, sorted by `(src, dst)`, when
@@ -413,8 +414,8 @@ pub struct System {
     scratch_fx: Vec<CoreEffect>,
     scratch_acts: Vec<FeAction>,
     scratch_dfx: Vec<DirEffect>,
-    /// The run's observer set, armed from the environment
-    /// ([`Tracer::from_env`]) or programmatically ([`System::tracer_mut`]).
+    /// The run's observer set, armed from the installed [`RunConfig`] or
+    /// programmatically ([`System::tracer_mut`]).
     pub(crate) tracer: Tracer,
     /// Reliable-transport shim, present only in fault-injection mode (the
     /// clean-fabric fast path stays byte-identical when this is `None`).
@@ -426,7 +427,8 @@ pub struct System {
     /// can mirror it.
     pub(crate) fault_spec: Option<(FaultPlan, TransportConfig)>,
     /// `Some(w)`: run through the sharded conservative-lookahead engine with
-    /// `w` workers (from `CORD_SIM_THREADS` or [`System::set_sim_threads`]).
+    /// `w` workers (from the installed [`RunConfig`] or
+    /// [`System::set_sim_threads`]).
     pub(crate) sim_threads: Option<usize>,
     /// Set on partition `System`s inside a sharded run; `None` on ordinary
     /// (monolithic) systems.
@@ -445,7 +447,9 @@ pub struct System {
 
 impl System {
     /// Builds a system running `cfg.protocol`, loading `programs[i]` onto
-    /// core `i` (missing entries run empty programs).
+    /// core `i` (missing entries run empty programs), with the faults,
+    /// engine and observers of the installed [`RunConfig`] (none without
+    /// one). Reads no environment.
     ///
     /// # Panics
     ///
@@ -463,14 +467,7 @@ impl System {
         programs.resize(tiles, Program::new());
         let noc = Noc::new(cfg.noc);
         let mut sys = Self::build(cfg, noc, programs, 0);
-        sys.tracer = Tracer::from_env();
-        sys.sim_threads = sim_threads_from_env();
-        if let Ok(spec) = std::env::var("CORD_FAULTS") {
-            if !spec.is_empty() {
-                let fs = FaultSpec::parse(&spec).unwrap_or_else(|e| panic!("CORD_FAULTS: {e}"));
-                sys.set_faults(fs.plan, fs.xport);
-            }
-        }
+        RunConfig::apply_installed(&mut sys);
         sys
     }
 
@@ -480,8 +477,8 @@ impl System {
     /// host's global first-tile index. Each program moves into its core's
     /// [`Frontend`], the one copy the run keeps. Builds exactly
     /// `programs.len()` tiles — a partition allocates O(tiles/host) state,
-    /// not O(total tiles) — and consults no environment variables (the
-    /// caller mirrors whatever configuration should apply).
+    /// not O(total tiles) — and applies no [`RunConfig`] (the caller
+    /// mirrors whatever configuration should apply).
     pub(crate) fn build(
         cfg: SystemConfig,
         noc: Noc,
@@ -569,19 +566,19 @@ impl System {
 
     /// Arms (or disarms) sim-time sampling at the given grid interval. The
     /// resulting series rides [`RunResult::obs`] and is bit-identical at
-    /// any worker count. Overrides the environment's setting.
+    /// any worker count. Overrides the installed [`RunConfig`].
     pub fn set_sampling(&mut self, interval: Option<Time>) {
         self.tracer.set_sampling(interval);
     }
 
     /// Arms (or disarms) the wall-clock self-profiler; the summary rides
-    /// [`RunResult::profile`]. Overrides the environment's setting.
+    /// [`RunResult::profile`]. Overrides the installed [`RunConfig`].
     pub fn set_profiling(&mut self, on: bool) {
         self.tracer.set_profiling(on);
     }
 
     /// After a failed [`System::try_run`] with the flight recorder armed
-    /// (from the environment or via [`Tracer::arm_flight`]): the rings
+    /// (by the installed [`RunConfig`] or via [`Tracer::arm_flight`]): the rings
     /// of last-seen trace events, for callers that want to render the dump
     /// themselves (the `trace` binary).
     pub fn take_flight_rings(&mut self) -> Vec<(u32, RingSink)> {
@@ -592,7 +589,7 @@ impl System {
     /// conservative-lookahead engine with `w` worker threads (the partition
     /// count is always the host count, so results are identical for every
     /// `w`); `None` runs the classic single-queue loop. Defaults to the
-    /// `CORD_SIM_THREADS` environment variable (unset/0 → monolithic).
+    /// installed [`RunConfig`]'s `sim_threads` (monolithic without one).
     pub fn set_sim_threads(&mut self, workers: Option<usize>) {
         self.sim_threads = workers.filter(|&w| w >= 1);
     }
@@ -1548,15 +1545,6 @@ impl System {
                 .then(|| self.noc.pair_flows_sorted()),
         }
     }
-}
-
-/// Parses `CORD_SIM_THREADS`: unset, empty, `0`, or unparsable → `None`
-/// (monolithic engine); `n ≥ 1` → sharded engine with `n` workers.
-fn sim_threads_from_env() -> Option<usize> {
-    std::env::var("CORD_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
 }
 
 #[cfg(test)]

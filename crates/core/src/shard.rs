@@ -305,7 +305,7 @@ fn make_partition(parent: &mut System, host: u32) -> System {
         .map(|fe| std::mem::take(&mut fe.program))
         .collect();
     let mut s = System::build(parent.cfg.clone(), parent.noc.fork(), programs, host * tph);
-    // `System::build` never consults the environment; partitions mirror the
+    // `System::build` applies no `RunConfig`; partitions mirror the
     // parent's *effective* state instead, which may have been set
     // programmatically.
     if let Some((plan, xcfg)) = &parent.fault_spec {
@@ -657,16 +657,16 @@ impl System {
         // consumers. The round-barrier loop makes the buffers worker-count
         // independent even when a verdict aborted the run, so the replay
         // also happens on the failure path — coverage maps and sink output
-        // for a hang or event-cap repro are identical at any
-        // `CORD_SIM_THREADS`.
+        // for a hang or event-cap repro are identical at any worker count.
         self.absorb_observers(&mut shards);
         self.tracer.finish();
-        if let Some(v) = verdict {
-            return Err(v.into_error(self.parts_mut(&mut shards)));
-        }
+        // A failure is narrated from the systems that ran, before their
+        // tiles move back.
+        let error = verdict.map(|v| v.into_error(self.parts_mut(&mut shards)));
 
         // Gather per-tile state back from the partitions (each tile from its
-        // owning partition) and sum the additive counters.
+        // owning partition) and sum the additive counters, on failure too,
+        // so a failed run leaves the memory it wrote.
         let tph = self.cfg.noc.tiles_per_host as usize;
         for (h, sh) in shards.into_iter().enumerate() {
             let System {
@@ -689,6 +689,9 @@ impl System {
             self.dir_engines[lo..lo + tph].swap_with_slice(&mut dir_engines);
             self.mems[lo..lo + tph].swap_with_slice(&mut mems);
         }
+        if let Some(e) = error {
+            return Err(e);
+        }
 
         self.check_finished()?;
         let mut result = self.collect(drained, events);
@@ -702,8 +705,9 @@ impl System {
 #[cfg(test)]
 mod tests {
     use cord_proto::{Op, Program, ProtocolKind, SystemConfig};
+    use cord_sim::Time;
 
-    use crate::System;
+    use crate::{RunError, System};
 
     /// The address of each program's ops buffer.
     fn op_buffers<'a>(programs: impl Iterator<Item = &'a Program>) -> Vec<*const Op> {
@@ -735,5 +739,39 @@ mod tests {
             let after = op_buffers(sys.fes.iter().map(|fe| &fe.program));
             assert_eq!(after, before, "{workers} worker(s) copied a program");
         }
+    }
+
+    /// A failed run leaves the memory it wrote under either engine: core 0
+    /// makes 200 Relaxed stores to a host-1 word, then either polls a flag
+    /// nobody sets until the watchdog fires (`hang`) or is stopped by the
+    /// event cap.
+    #[test]
+    fn failed_runs_keep_the_memory_they_wrote() {
+        let peek = |workers: Option<usize>, hang: bool| {
+            let cfg = SystemConfig::cxl(ProtocolKind::Cord, 2);
+            let addr = cfg.map.addr_on_host(1, 0);
+            let mut b = Program::build();
+            for v in 1..=200 {
+                b = b.store_relaxed(addr, v);
+            }
+            if hang {
+                b = b.wait_value(cfg.map.addr_on_host(1, 4096), 1);
+            }
+            let mut sys = System::new(cfg, vec![b.finish()]);
+            sys.set_sim_threads(workers);
+            sys.set_watchdog(hang.then(|| Time::from_us(20)));
+            sys.set_max_events(if hang { u64::MAX } else { 150 });
+            let err = sys.try_run().expect_err("the run must fail");
+            assert_eq!(matches!(err, RunError::EventCap { .. }), !hang, "{err}");
+            sys.mem_peek(addr)
+        };
+        for workers in [None, Some(1), Some(2)] {
+            assert_eq!(peek(workers, true), 200, "{workers:?} worker(s)");
+        }
+        // A sharded run checks the cap once per round, so it stops later
+        // than the monolithic loop, at the same point for any worker count.
+        let sharded = peek(Some(1), false);
+        assert!(peek(None, false) > 0 && sharded > 0);
+        assert_eq!(peek(Some(2), false), sharded);
     }
 }

@@ -113,12 +113,7 @@ impl Campaign {
 }
 
 /// Runs the campaign described by `cfg`.
-///
-/// Clears `CORD_FAULTS` first: the scenario's own fault spec is the only
-/// fault source, and an inherited environment spec would corrupt the
-/// fault-free baseline runs.
 pub fn run_campaign(cfg: &CampaignConfig) -> Campaign {
-    std::env::remove_var("CORD_FAULTS");
     let scenarios: Vec<(u64, Scenario)> = (0..cfg.count)
         .map(|i| (i, generate(cfg.seed, i, cfg.max_events)))
         .collect();

@@ -221,7 +221,6 @@ mod tests {
 
     #[test]
     fn admission_is_novelty_gated_and_union_grows() {
-        std::env::remove_var("CORD_FAULTS");
         let mut corpus = Corpus::new();
         let (s, class, cov) = cov_of(2026, 0);
         let d = cov.distinct();
@@ -235,7 +234,6 @@ mod tests {
 
     #[test]
     fn scheduling_is_energy_weighted_and_skips_failures() {
-        std::env::remove_var("CORD_FAULTS");
         let mut corpus = Corpus::new();
         for i in 0..6 {
             let (s, class, cov) = cov_of(2026, i);
@@ -266,7 +264,6 @@ mod tests {
 
     #[test]
     fn minimize_preserves_the_union() {
-        std::env::remove_var("CORD_FAULTS");
         let mut corpus = Corpus::new();
         for i in 0..10 {
             let (s, class, cov) = cov_of(2026, i);
@@ -291,7 +288,6 @@ mod tests {
 
     #[test]
     fn disk_roundtrip_preserves_entries() {
-        std::env::remove_var("CORD_FAULTS");
         let dir = std::env::temp_dir().join(format!("cord-corpus-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut corpus = Corpus::new();

@@ -110,15 +110,11 @@ impl GuidedCampaign {
 /// Runs a coverage-guided campaign from `seeds` (replayed first, in the
 /// given order, to populate the corpus). `deadline` optionally stops the
 /// loop early at the next batch boundary.
-///
-/// Clears `CORD_FAULTS` up front for the same reason [`run_campaign`](crate::run_campaign)
-/// does: scenario fault specs are the only legitimate fault source.
 pub fn run_guided(
     cfg: &GuidedConfig,
     seeds: &[(String, Repro)],
     deadline: Option<Instant>,
 ) -> GuidedCampaign {
-    std::env::remove_var("CORD_FAULTS");
     let workers = cfg.workers.unwrap_or_else(par::thread_count);
     let root = DetRng::new(cfg.seed);
     let prog = obs::Progress::new("fuzz-guided", seeds.len() as u64 + cfg.iterations);
@@ -230,7 +226,6 @@ pub fn run_guided(
 /// would have explored. Used for the guided-vs-blind comparison recorded
 /// in `BENCH_fuzz.json` (and checked by `fuzz --serve`).
 pub fn blind_union(cfg: &GuidedConfig) -> CoverageMap {
-    std::env::remove_var("CORD_FAULTS");
     let workers = cfg.workers.unwrap_or_else(par::thread_count);
     let scenarios: Vec<Scenario> = (0..cfg.iterations)
         .map(|i| generate(cfg.seed, i, cfg.max_events))
@@ -260,7 +255,6 @@ pub fn blind_union(cfg: &GuidedConfig) -> CoverageMap {
 /// `fuzz --check-coverage` recomputes and compares against the recorded
 /// baseline in `BENCH_fuzz.json`.
 pub fn replay_union(seeds: &[(String, Repro)], workers: Option<usize>) -> CoverageMap {
-    std::env::remove_var("CORD_FAULTS");
     let workers = workers.unwrap_or_else(par::thread_count);
     let prog = obs::Progress::new("fuzz-cov", seeds.len() as u64);
     let maps = par::run_parallel_on(workers, seeds, |(_, r)| {
@@ -294,7 +288,6 @@ mod tests {
 
     #[test]
     fn guided_is_worker_count_independent() {
-        std::env::remove_var("CORD_FAULTS");
         let seeds = committed_seeds();
         let mk = |workers| GuidedConfig {
             seed: 31,
@@ -312,6 +305,11 @@ mod tests {
         assert_eq!(serial.stats_json(&mk(1)), wide.stats_json(&mk(4)));
         let ids = |c: &GuidedCampaign| c.corpus.entries.iter().map(|e| e.id).collect::<Vec<_>>();
         assert_eq!(ids(&serial), ids(&wide));
+        // Replaying the committed corpus merges per-scenario maps in input
+        // order, whatever the pool width.
+        let narrow = replay_union(&seeds, Some(1));
+        assert!(narrow.distinct() > 0);
+        assert_eq!(narrow.render(), replay_union(&seeds, Some(4)).render());
     }
 
     /// The headline acceptance property at unit-test scale: seeded with the
@@ -319,7 +317,6 @@ mod tests {
     /// edges than blind generation at equal iteration count.
     #[test]
     fn guided_beats_blind_at_equal_iterations() {
-        std::env::remove_var("CORD_FAULTS");
         let seeds = committed_seeds();
         let cfg = GuidedConfig {
             seed: 99,
@@ -344,7 +341,6 @@ mod tests {
 
     #[test]
     fn deadline_stops_at_a_batch_boundary() {
-        std::env::remove_var("CORD_FAULTS");
         let cfg = GuidedConfig {
             seed: 7,
             iterations: 1_000_000,

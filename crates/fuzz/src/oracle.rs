@@ -329,11 +329,9 @@ fn model_divergence(s: &Scenario, base: &RunResult, mem: &[u64]) -> Option<Verdi
 
 /// Runs every oracle against `s`. `model_check` enables the differential
 /// model comparison (oracle 3); disable it for speed when shrinking a
-/// non-model failure class.
-///
-/// The caller is responsible for keeping the `CORD_FAULTS` environment
-/// variable unset (it would silently arm faults inside the baseline run);
-/// the campaign driver and the `fuzz` binary both clear it up front.
+/// non-model failure class. The baseline run is fault-free only when the
+/// process installed no [`RunConfig`](cord::RunConfig) faults; the `fuzz`
+/// binary installs none.
 ///
 /// # Panics
 ///

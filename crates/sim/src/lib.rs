@@ -15,9 +15,10 @@
 //!   interconnect boundary,
 //! * [`trace`] — zero-cost-when-disabled protocol tracing: typed events,
 //!   pluggable sinks (ring buffer, Perfetto-compatible Chrome-trace JSON,
-//!   metrics timelines), and [`trace::Tracer`], the run's one observer set,
-//!   which parses every observability knob (`CORD_TRACE`, `CORD_OBS`,
-//!   `CORD_PROFILE`, `CORD_FLIGHT` and their `_OUT` paths),
+//!   metrics timelines), [`trace::Tracer`], the run's one observer set,
+//!   and [`trace::ObsConfig`], the one parser of the observability knobs
+//!   (`CORD_TRACE`, `CORD_OBS`, `CORD_PROFILE`, `CORD_FLIGHT` and their
+//!   `_OUT` paths),
 //! * [`coverage`] — deterministic trace-derived coverage maps (protocol
 //!   event-pair, fault-recovery and table-pressure edges), the novelty
 //!   signal behind the coverage-guided fuzzer,

@@ -22,8 +22,9 @@
 //! consumer is installed, every emission compiles to a branch on `None` and
 //! the event value is never even constructed (callers pass closures via
 //! [`Tracer::emit_with`] or receive `Option<&mut Tracer>` and skip work when
-//! it is `None`). The tracer also parses the observability knobs
-//! ([`Tracer::from_env`]), forks and merges itself across the sharded
+//! it is `None`). The observability knobs parse into an [`ObsConfig`]
+//! ([`ObsConfig::from_lookup`]), from which each run builds its tracer
+//! ([`Tracer::from_config`]); the tracer forks and merges itself across the sharded
 //! engine's partitions ([`Tracer::fork`], [`Tracer::absorb`]) and writes the
 //! requested files at the end of a run ([`Tracer::write_outputs`]). Event
 //! payloads use plain integers and `&'static str` labels so this
@@ -509,10 +510,9 @@ pub struct Tracer {
     profiler: Option<Box<Profiler>>,
     /// The last run's flight rings, keyed by partition.
     flight_rings: Vec<(u32, RingSink)>,
-    /// Files for [`Tracer::write_outputs`], parsed by [`Tracer::from_env`].
-    obs_out: Option<String>,
-    profile_out: Option<String>,
-    flight_out: Option<String>,
+    /// The recipe this tracer was built from, whose paths
+    /// [`Tracer::write_outputs`] writes.
+    files: ObsConfig,
 }
 
 impl std::fmt::Debug for Tracer {
@@ -528,11 +528,68 @@ impl std::fmt::Debug for Tracer {
     }
 }
 
-/// Process-wide counts of trace and series files written from the
-/// environment, used to suffix them when one process runs many simulations
-/// (e.g. a sweep).
-static ENV_TRACERS: AtomicU64 = AtomicU64::new(0);
-static ENV_OBS: AtomicU64 = AtomicU64::new(0);
+/// Process-wide counts of trace and series files written for an
+/// [`ObsConfig`], used to suffix them when one process runs many
+/// simulations (e.g. a sweep).
+static CONFIG_TRACES: AtomicU64 = AtomicU64::new(0);
+static CONFIG_SERIES: AtomicU64 = AtomicU64::new(0);
+
+/// The observability recipe of a run: which observers a [`Tracer`] arms
+/// and where their files go. A plain value, parsed once from the knobs by
+/// [`ObsConfig::from_lookup`] and built into a fresh tracer per run by
+/// [`Tracer::from_config`]. The default arms nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ObsConfig {
+    /// `CORD_TRACE`: the Chrome trace's base path (`CORD_TRACE_OUT`).
+    pub trace_out: Option<String>,
+    /// `CORD_OBS`: the sampling grid.
+    pub sampling: Option<Time>,
+    /// `CORD_OBS_OUT`: where a sampled series is written.
+    pub obs_out: Option<String>,
+    /// `CORD_PROFILE`: where the profile goes (`CORD_PROFILE_OUT`).
+    pub profile_out: Option<String>,
+    /// `CORD_FLIGHT`: the flight ring's capacity in events.
+    pub flight: Option<usize>,
+    /// `CORD_FLIGHT_OUT`: where a failed run's flight rings are dumped.
+    pub flight_out: Option<String>,
+}
+
+impl ObsConfig {
+    /// Parses the observability knobs from `get` (knob name → value). The
+    /// four switches share one off rule: unset, empty, or `0` after
+    /// trimming. `CORD_TRACE` streams a Chrome trace to `CORD_TRACE_OUT`;
+    /// `CORD_OBS` samples every µs (`1`) or `n` ns, written to
+    /// `CORD_OBS_OUT`; `CORD_PROFILE` profiles into `CORD_PROFILE_OUT`;
+    /// `CORD_FLIGHT` keeps the last 256 (`1`) or `n` events, dumped on
+    /// failure to `CORD_FLIGHT_OUT`.
+    pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Self {
+        let on = |k: &str| {
+            get(k)
+                .map(|v| v.trim().to_string())
+                .filter(|v| !v.is_empty() && v != "0")
+        };
+        let flight = on("CORD_FLIGHT").map(|v| match v.parse() {
+            Ok(1) | Err(_) => 256,
+            Ok(n) => n,
+        });
+        ObsConfig {
+            trace_out: on("CORD_TRACE")
+                .map(|_| get("CORD_TRACE_OUT").unwrap_or_else(|| "results/cord_trace.json".into())),
+            sampling: on("CORD_OBS").map(|v| match v.parse() {
+                Ok(ns) if ns != 1 => Time::from_ns(ns),
+                _ => Time::from_us(1),
+            }),
+            obs_out: get("CORD_OBS_OUT").filter(|p| !p.is_empty()),
+            profile_out: on("CORD_PROFILE").map(|_| {
+                get("CORD_PROFILE_OUT").unwrap_or_else(|| "results/PROFILE.folded".into())
+            }),
+            flight_out: get("CORD_FLIGHT_OUT")
+                .filter(|p| !p.trim().is_empty())
+                .or_else(|| flight.map(|_| "results/FLIGHT_last.txt".into())),
+            flight,
+        }
+    }
+}
 
 /// `base` for a process's first file of one kind, `base.N` for the N-th
 /// later one.
@@ -557,59 +614,28 @@ impl Tracer {
         }
     }
 
-    /// Builds the observer set from the environment, the one place the
-    /// observability knobs are read. The four switches share one off rule:
-    /// unset, empty, or `0` after trimming. `CORD_TRACE` streams a
-    /// [`ChromeTraceWriter`] to `CORD_TRACE_OUT` and attaches a
-    /// [`MetricsRecorder`]; `CORD_OBS` samples every µs (`1`) or `n` ns,
-    /// written to `CORD_OBS_OUT`; `CORD_PROFILE` profiles into
-    /// `CORD_PROFILE_OUT`; `CORD_FLIGHT` keeps the last 256 (`1`) or `n`
-    /// events, dumped on failure to `CORD_FLIGHT_OUT`. Later trace and
-    /// series files of one process get a `.N` suffix.
-    pub fn from_env() -> Self {
-        Self::from_lookup(|k| std::env::var(k).ok())
-    }
-
-    /// [`Tracer::from_env`] over `get` (knob name → value), so the parser is
-    /// testable without touching the process environment.
-    fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Self {
-        let on = |k: &str| {
-            get(k)
-                .map(|v| v.trim().to_string())
-                .filter(|v| !v.is_empty() && v != "0")
+    /// Builds a run's observer set from `cfg`: the Chrome-trace writer
+    /// and metrics recorder, sampler, profiler and flight ring it asks
+    /// for, plus the files [`Tracer::write_outputs`] writes. Later trace
+    /// and series files of one process get a `.N` suffix.
+    pub fn from_config(cfg: &ObsConfig) -> Self {
+        let mut tr = Tracer {
+            files: cfg.clone(),
+            ..Tracer::default()
         };
-        let mut tr = Tracer::disabled();
-        if on("CORD_TRACE").is_some() {
-            let base = get("CORD_TRACE_OUT").unwrap_or_else(|| "results/cord_trace.json".into());
-            let path = numbered(&ENV_TRACERS, base);
+        if let Some(base) = &cfg.trace_out {
+            let path = numbered(&CONFIG_TRACES, base.clone());
             match ChromeTraceWriter::create(&path) {
                 Ok(w) => tr.install(Box::new(w)),
                 Err(e) => eprintln!("CORD_TRACE: cannot open {path}: {e}"),
             }
             tr.attach_metrics(MetricsRecorder::default());
         }
-        if let Some(v) = on("CORD_OBS") {
-            tr.set_sampling(Some(match v.parse() {
-                Ok(ns) if ns != 1 => Time::from_ns(ns),
-                _ => Time::from_us(1),
-            }));
+        tr.set_sampling(cfg.sampling);
+        tr.set_profiling(cfg.profile_out.is_some());
+        if let Some(cap) = cfg.flight {
+            tr.arm_flight(cap);
         }
-        tr.obs_out = get("CORD_OBS_OUT").filter(|p| !p.is_empty());
-        if on("CORD_PROFILE").is_some() {
-            tr.set_profiling(true);
-            tr.profile_out =
-                Some(get("CORD_PROFILE_OUT").unwrap_or_else(|| "results/PROFILE.folded".into()));
-        }
-        let flight = on("CORD_FLIGHT");
-        if let Some(v) = &flight {
-            tr.arm_flight(match v.parse() {
-                Ok(1) | Err(_) => 256,
-                Ok(n) => n,
-            });
-        }
-        tr.flight_out = get("CORD_FLIGHT_OUT")
-            .filter(|p| !p.trim().is_empty())
-            .or_else(|| flight.map(|_| "results/FLIGHT_last.txt".into()));
         tr
     }
 
@@ -793,8 +819,8 @@ impl Tracer {
         }
     }
 
-    /// The run's one exit writer, for the files [`Tracer::from_env`] was
-    /// asked for: on success (`error` is `None`) the series with the
+    /// The run's one exit writer, for the files [`Tracer::from_config`]
+    /// was asked for: on success (`error` is `None`) the series with the
     /// metrics as JSON plus a `.prom` sibling, and the profile's collapsed
     /// stacks; on failure the flight dump headed by `error`.
     pub fn write_outputs(
@@ -804,7 +830,7 @@ impl Tracer {
         metrics: Option<&MetricsSnapshot>,
         profile: Option<&ProfileSummary>,
     ) {
-        if let (Some(err), Some(path)) = (error, &self.flight_out) {
+        if let (Some(err), Some(path)) = (error, &self.files.flight_out) {
             if !self.flight_rings.is_empty() {
                 let kept: usize = self.flight_rings.iter().map(|(_, r)| r.len()).sum();
                 match obs::write_output(path, &obs::render_flight(err, &self.flight_rings)) {
@@ -815,8 +841,8 @@ impl Tracer {
                 }
             }
         }
-        if let (Some(set), Some(base)) = (series, &self.obs_out) {
-            let path = numbered(&ENV_OBS, base.clone());
+        if let (Some(set), Some(base)) = (series, &self.files.obs_out) {
+            let path = numbered(&CONFIG_SERIES, base.clone());
             let prom = format!("{path}.prom");
             for (p, text) in [
                 (&path, obs::render_json(set, metrics)),
@@ -827,7 +853,7 @@ impl Tracer {
                 }
             }
         }
-        if let (Some(p), Some(path)) = (profile, &self.profile_out) {
+        if let (Some(p), Some(path)) = (profile, &self.files.profile_out) {
             if let Err(e) = obs::write_folded(path, p) {
                 eprintln!("CORD_PROFILE_OUT: cannot write {path}: {e}");
             }
@@ -1881,50 +1907,45 @@ mod tests {
                 ("CORD_FLIGHT", off),
                 ("CORD_PROFILE_OUT", "unused.folded"),
             ];
-            let tr = Tracer::from_lookup(lookup(&pairs));
-            assert!(!tr.enabled(), "{off:?} must leave every consumer off");
-            assert!(tr.sampler.is_none() && tr.profiler.is_none(), "{off:?}");
-            assert_eq!(tr.profile_out, None, "{off:?} must not write a profile");
-            assert_eq!(tr.flight_out, None, "{off:?}");
+            let cfg = ObsConfig::from_lookup(lookup(&pairs));
+            assert_eq!(
+                cfg,
+                ObsConfig::default(),
+                "{off:?} must leave every observer off"
+            );
         }
-        let tr = Tracer::from_lookup(lookup(&[]));
-        assert!(!tr.enabled() && tr.sampler.is_none() && tr.profiler.is_none());
-        assert_eq!(tr.obs_out, None);
+        assert_eq!(ObsConfig::from_lookup(lookup(&[])), ObsConfig::default());
     }
 
     #[test]
     fn from_lookup_parses_values_and_paths() {
-        let interval = |v: &str| {
-            let tr = Tracer::from_lookup(lookup(&[("CORD_OBS", v)]));
-            tr.sampler.as_ref().map(|s| s.interval())
-        };
+        let interval = |v: &str| ObsConfig::from_lookup(lookup(&[("CORD_OBS", v)])).sampling;
         assert_eq!(interval("1"), Some(Time::from_us(1)));
         assert_eq!(interval(" 250 "), Some(Time::from_ns(250)));
         assert_eq!(interval("fast"), Some(Time::from_us(1)));
         let cap = |v: &str| {
-            let tr = Tracer::from_lookup(lookup(&[("CORD_FLIGHT", v)]));
-            assert_eq!(tr.flight_out.as_deref(), Some("results/FLIGHT_last.txt"));
-            tr.flight.as_ref().map(RingSink::capacity)
+            let cfg = ObsConfig::from_lookup(lookup(&[("CORD_FLIGHT", v)]));
+            assert_eq!(cfg.flight_out.as_deref(), Some("results/FLIGHT_last.txt"));
+            cfg.flight
         };
         assert_eq!(cap("1"), Some(256));
         assert_eq!(cap("32"), Some(32));
         assert_eq!(cap("lots"), Some(256));
-        let tr = Tracer::from_lookup(lookup(&[
+        let cfg = ObsConfig::from_lookup(lookup(&[
             ("CORD_PROFILE", " 1"),
             ("CORD_OBS_OUT", "o.json"),
             ("CORD_FLIGHT_OUT", "f.txt"),
         ]));
-        assert!(tr.profiler.is_some());
-        assert_eq!(tr.profile_out.as_deref(), Some("results/PROFILE.folded"));
-        assert_eq!(tr.obs_out.as_deref(), Some("o.json"));
+        assert_eq!(cfg.profile_out.as_deref(), Some("results/PROFILE.folded"));
+        assert_eq!(cfg.obs_out.as_deref(), Some("o.json"));
         // An explicit dump path serves a ring armed programmatically.
-        assert_eq!(tr.flight_out.as_deref(), Some("f.txt"));
-        assert!(tr.flight.is_none());
-        let tr = Tracer::from_lookup(lookup(&[
+        assert_eq!(cfg.flight_out.as_deref(), Some("f.txt"));
+        assert_eq!(cfg.flight, None);
+        let cfg = ObsConfig::from_lookup(lookup(&[
             ("CORD_PROFILE", "yes"),
             ("CORD_PROFILE_OUT", "p.folded"),
         ]));
-        assert_eq!(tr.profile_out.as_deref(), Some("p.folded"));
+        assert_eq!(cfg.profile_out.as_deref(), Some("p.folded"));
     }
 
     #[test]
@@ -1932,8 +1953,21 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cord-trace-lookup-{}", std::process::id()));
         let out = dir.join("t.json");
         let out = out.to_str().expect("utf-8 temp path");
-        let tr = Tracer::from_lookup(lookup(&[("CORD_TRACE", " 1 "), ("CORD_TRACE_OUT", out)]));
-        assert!(tr.sink.is_some() && tr.metrics.is_some());
+        let cfg = ObsConfig::from_lookup(lookup(&[
+            ("CORD_TRACE", " 1 "),
+            ("CORD_TRACE_OUT", out),
+            ("CORD_OBS", "250"),
+            ("CORD_PROFILE", "1"),
+            ("CORD_FLIGHT", "32"),
+        ]));
+        let tr = Tracer::from_config(&cfg);
+        assert!(tr.sink.is_some() && tr.metrics.is_some() && tr.profiler.is_some());
+        assert_eq!(
+            tr.sampler.as_ref().map(|s| s.interval()),
+            Some(Time::from_ns(250))
+        );
+        assert_eq!(tr.flight.as_ref().map(RingSink::capacity), Some(32));
+        assert_eq!(tr.files, cfg);
         drop(tr);
         std::fs::remove_dir_all(&dir).expect("trace file written under its directory");
     }
@@ -1947,7 +1981,7 @@ mod tests {
         parent.set_profiling(true);
         let mut parts = vec![parent.fork(), parent.fork()];
         for (h, p) in parts.iter_mut().enumerate() {
-            assert!(p.enabled() && p.sink.is_none() && p.flight_out.is_none());
+            assert!(p.enabled() && p.sink.is_none() && p.files.flight_out.is_none());
             for t in [5, 1] {
                 p.emit(
                     Time::from_ns(t),

@@ -11,11 +11,12 @@
 //! cargo run --release --example multi_directory
 //! ```
 
-use cord_repro::cord::System;
+use cord_repro::cord::{RunConfig, System};
 use cord_repro::cord_noc::MsgClass;
 use cord_repro::cord_proto::{LoadOrd, Program, ProtocolKind, SystemConfig};
 
 fn main() {
+    RunConfig::from_env_or_exit().install();
     for kind in [ProtocolKind::Cord, ProtocolKind::So, ProtocolKind::Mp] {
         let cfg = SystemConfig::cxl(kind, 8);
         let tph = cfg.noc.tiles_per_host as usize;

@@ -6,11 +6,12 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use cord_repro::cord::System;
+use cord_repro::cord::{RunConfig, System};
 use cord_repro::cord_noc::MsgClass;
 use cord_repro::cord_proto::{LoadOrd, Program, ProtocolKind, SystemConfig};
 
 fn main() {
+    RunConfig::from_env_or_exit().install();
     // A 2-host CXL system (8 cores + 8 LLC slices per host, 150 ns links).
     for kind in [ProtocolKind::Cord, ProtocolKind::So] {
         let cfg = SystemConfig::cxl(kind, 2);

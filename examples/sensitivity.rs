@@ -6,7 +6,7 @@
 //! cargo run --release --example sensitivity
 //! ```
 
-use cord_repro::cord::System;
+use cord_repro::cord::{RunConfig, System};
 use cord_repro::cord_proto::{ProtocolKind, SystemConfig};
 use cord_repro::cord_workloads::MicroBench;
 
@@ -22,6 +22,7 @@ fn run(kind: ProtocolKind, sync: u64) -> (f64, u64) {
 }
 
 fn main() {
+    RunConfig::from_env_or_exit().install();
     println!(
         "{:>10}  {:>10}  {:>10}  {:>8}  {:>8}",
         "sync", "CORD us", "SO us", "SO/CORD t", "SO/CORD b"

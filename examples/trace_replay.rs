@@ -8,11 +8,12 @@
 //! cargo run --release --example trace_replay
 //! ```
 
-use cord_repro::cord::System;
+use cord_repro::cord::{RunConfig, System};
 use cord_repro::cord_proto::{ProtocolKind, SystemConfig};
 use cord_repro::cord_workloads::{trace, AppSpec};
 
 fn main() {
+    RunConfig::from_env_or_exit().install();
     // A hand-written trace: host 0 core publishes into host 1's memory
     // (addresses ≥ 0x1_0000_0000 belong to host 1), host 1 core consumes,
     // then bumps a shared ticket atomically.

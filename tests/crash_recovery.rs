@@ -22,7 +22,6 @@ fn micro(kind: ProtocolKind, faults: Option<&str>) -> System {
     let cfg = SystemConfig::cxl(kind, 8);
     let programs = MicroBench::new(256, 4096, 7).with_iters(8).programs(&cfg);
     let mut sys = System::new(cfg, programs);
-    sys.set_sim_threads(None);
     if let Some(spec) = faults {
         sys.set_fault_spec(spec).expect("fault spec");
     }
@@ -46,7 +45,6 @@ fn scenario(faults: &str) -> Scenario {
 
 #[test]
 fn dir_crash_mid_run_recovers_with_fault_free_results() {
-    std::env::remove_var("CORD_FAULTS");
     let clean = run(micro(ProtocolKind::Cord, None));
     // Two directory crashes on different hosts while epochs are in flight.
     let crashed = run(micro(
@@ -61,7 +59,6 @@ fn dir_crash_mid_run_recovers_with_fault_free_results() {
 
 #[test]
 fn xport_crash_replays_unacked_and_preserves_results() {
-    std::env::remove_var("CORD_FAULTS");
     let clean = run(micro(ProtocolKind::Cord, None));
     // Ack loss keeps unacked buffers populated; the transport resets must
     // replay them into a new session without double delivery.
@@ -79,7 +76,6 @@ fn xport_crash_replays_unacked_and_preserves_results() {
 
 #[test]
 fn dir_crash_passes_rc_oracle_with_recovery_coverage() {
-    std::env::remove_var("CORD_FAULTS");
     let sc = scenario("seed=3; crash.dir.1=4000; jitter=100; rto=1500");
     let (report, cov) = run_scenario_cov(&sc, false);
     assert_eq!(report.verdict.class(), "pass", "{}", report.verdict);
@@ -104,7 +100,6 @@ fn dir_crash_passes_rc_oracle_with_recovery_coverage() {
 
 #[test]
 fn xport_crash_passes_rc_oracle() {
-    std::env::remove_var("CORD_FAULTS");
     let sc = scenario("seed=9; drop=0.2; rto=900; crash.xport.0=6000; crash.xport.1=9000");
     let (report, cov) = run_scenario_cov(&sc, false);
     assert_eq!(report.verdict.class(), "pass", "{}", report.verdict);
@@ -117,7 +112,6 @@ fn xport_crash_passes_rc_oracle() {
 
 #[test]
 fn non_cord_engines_degrade_gracefully_on_dir_crash() {
-    std::env::remove_var("CORD_FAULTS");
     for kind in [ProtocolKind::So, ProtocolKind::Mp] {
         let clean = run(micro(kind, None));
         let crashed = run(micro(kind, Some("seed=5; crash.dir.1=700")));
@@ -137,7 +131,6 @@ fn non_cord_engines_degrade_gracefully_on_dir_crash() {
 
 #[test]
 fn repeated_dir_crashes_on_one_host_still_recover() {
-    std::env::remove_var("CORD_FAULTS");
     let clean = run(micro(ProtocolKind::Cord, None));
     let crashed = run(micro(
         ProtocolKind::Cord,

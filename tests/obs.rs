@@ -21,9 +21,7 @@ fn sampled_system(hosts: u32) -> System {
         .with_iters(2)
         .programs(&cfg);
     let mut sys = System::new(cfg, programs);
-    sys.set_sim_threads(None); // isolate from CORD_SIM_THREADS in the env
     sys.set_sampling(Some(Time::from_ns(500)));
-    sys.set_profiling(false); // isolate from CORD_PROFILE in the env
     sys
 }
 
@@ -238,7 +236,6 @@ fn flight_recorder_round_trips_crash_events() {
         .wait_value(flag, 1)
         .finish();
     let mut sys = System::new(cfg, programs);
-    sys.set_sim_threads(None);
     sys.set_fault_spec("seed=4; crash.dir.1=3000")
         .expect("crash spec");
     sys.set_watchdog(Some(Time::from_us(50)));

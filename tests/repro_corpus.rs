@@ -16,11 +16,9 @@ use cord_repro::cord::System;
 use cord_repro::cord_fuzz::{parse, run_scenario};
 use cord_repro::cord_sim::obs::render_flight;
 
-/// One test for the whole corpus: the oracles read `CORD_FAULTS`-adjacent
-/// process state, so replays must not race sibling tests.
+/// One test for the whole corpus.
 #[test]
 fn every_committed_repro_still_reproduces() {
-    std::env::remove_var("CORD_FAULTS");
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/repros");
     let mut files: Vec<_> = std::fs::read_dir(&dir)
         .expect("tests/repros must exist")
@@ -76,7 +74,6 @@ fn every_committed_repro_still_reproduces() {
 /// change to the narrative.
 #[test]
 fn failure_text_matches_golden() {
-    std::env::remove_var("CORD_FAULTS");
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut got = String::new();
     for name in ["cord_notify_drop_hang.repro", "cord_event_cap.repro"] {
@@ -87,7 +84,6 @@ fn failure_text_matches_golden() {
         let cfg = s.config();
         let programs = s.programs(&cfg);
         let mut sys = System::new(cfg, programs);
-        sys.set_sim_threads(None);
         sys.set_max_events(s.max_events);
         if let Some(spec) = &s.faults {
             sys.set_fault_spec(spec).expect("repro spec parses");

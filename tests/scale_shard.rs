@@ -30,7 +30,6 @@ fn kv_system(hosts: u32, fabric: &str) -> System {
     let cfg = SystemConfig::with_noc(ProtocolKind::Cord, noc).with_model(ConsistencyModel::Rc);
     let programs = kv_spec().programs(&cfg);
     let mut sys = System::new(cfg, programs);
-    sys.set_sim_threads(None); // isolate from CORD_SIM_THREADS in the env
     sys.set_pair_accounting(true);
     sys
 }

@@ -5,6 +5,7 @@
 
 use cord_repro::cord::{RunResult, System};
 use cord_repro::cord_proto::{ConsistencyModel, ProtocolKind, SystemConfig};
+use cord_repro::cord_sim::coverage::CoverageMap;
 use cord_repro::cord_sim::trace::{render_event, MetricsRecorder, RingSink, Shared};
 use cord_repro::cord_sim::Time;
 use cord_repro::cord_workloads::{AppSpec, MicroBench};
@@ -17,7 +18,6 @@ fn micro_system(kind: ProtocolKind, hosts: u32, faults: bool) -> System {
         .with_iters(2)
         .programs(&cfg);
     let mut sys = System::new(cfg, programs);
-    sys.set_sim_threads(None); // isolate from CORD_SIM_THREADS in the env
     if faults {
         sys.set_fault_spec(FAULT_SPEC).expect("fault spec");
     }
@@ -30,7 +30,6 @@ fn app_system(name: &str, hosts: u32, faults: bool) -> System {
     app.iters = 2;
     let programs = app.programs(&cfg);
     let mut sys = System::new(cfg, programs);
-    sys.set_sim_threads(None);
     if faults {
         sys.set_fault_spec(FAULT_SPEC).expect("fault spec");
     }
@@ -229,9 +228,7 @@ fn single_host_runs_in_one_partition() {
             .wait_value(flag, 1)
             .load(data, 8, cord_repro::cord_proto::LoadOrd::Acquire, 1)
             .finish();
-        let mut sys = System::new(cfg, programs);
-        sys.set_sim_threads(None);
-        sys
+        System::new(cfg, programs)
     };
     let base = fingerprint(&run_with_workers(one_host(), 1));
     let got = fingerprint(&run_with_workers(one_host(), 4));
@@ -240,9 +237,11 @@ fn single_host_runs_in_one_partition() {
 
 /// Replays the committed fuzzer repro corpus through the sharded engine:
 /// for every scenario (baseline and faulted phase alike) the outcome —
-/// success fingerprint or error — must be identical at 1 and 2 workers.
-/// The corpus is the diversity net here: protocols, host counts, fault
-/// specs, and event-cap/hang scenarios the fuzzer has actually found.
+/// success fingerprint or error — and the rendered coverage map must be
+/// identical at 1, 2 and 4 workers. The corpus is the diversity net here:
+/// protocols, host counts, fault specs, and event-cap/hang scenarios the
+/// fuzzer has actually found. Coverage is the fuzzer's novelty signal, so
+/// it must not depend on the worker count either.
 #[test]
 fn repro_corpus_outcomes_identical_across_worker_counts() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/repros");
@@ -262,14 +261,17 @@ fn repro_corpus_outcomes_identical_across_worker_counts() {
                 let mut sys = System::new(cfg, programs);
                 sys.set_sim_threads(Some(workers));
                 sys.set_max_events(scenario.max_events);
+                sys.tracer_mut().attach_coverage(CoverageMap::new());
                 if faulted {
                     let spec = scenario.faults.as_deref().expect("faulted phase");
                     sys.set_fault_spec(spec).expect("corpus spec parses");
                 }
-                match sys.try_run() {
+                let out = match sys.try_run() {
                     Ok(r) => format!("ok {}", fingerprint(&r)),
                     Err(e) => format!("err {e}"),
-                }
+                };
+                let cov = sys.tracer_mut().take_coverage().expect("coverage attached");
+                format!("{out}\n{} edge(s)\n{}", cov.distinct(), cov.render())
             });
             run.unwrap_or_else(|p| {
                 let msg = p
@@ -290,11 +292,15 @@ fn repro_corpus_outcomes_identical_across_worker_counts() {
                 continue;
             }
             let base = outcome(&repro.scenario, faulted, 1);
-            let got = outcome(&repro.scenario, faulted, 2);
-            assert_eq!(
-                base, got,
-                "{name} (faulted={faulted}): outcome diverged between 1 and 2 workers"
-            );
+            let empty = base.contains("\n0 edge(s)\n");
+            assert!(!empty, "{name} (faulted={faulted}): no coverage observed");
+            for workers in [2, 4] {
+                let got = outcome(&repro.scenario, faulted, workers);
+                assert_eq!(
+                    base, got,
+                    "{name} (faulted={faulted}): diverged between 1 and {workers} workers"
+                );
+            }
         }
     }
 }

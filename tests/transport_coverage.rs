@@ -18,8 +18,7 @@
 //!   receiver's duplicate suppression (`Edge::DupDrop { after_retrans:
 //!   true }`) absorbs it.
 //!
-//! One `#[test]` per concern, but a single file: the oracles require
-//! `CORD_FAULTS` unset, and integration-test files get their own process.
+//! One `#[test]` per concern.
 
 use cord_repro::cord_fuzz::{parse, run_scenario_cov, Scenario};
 use cord_repro::cord_sim::coverage::Edge;
@@ -37,7 +36,6 @@ fn scenario(faults: &str) -> Scenario {
 
 #[test]
 fn backoff_cap_is_reached_and_held() {
-    std::env::remove_var("CORD_FAULTS");
     // 85% loss with a short RTO: expected attempts per delivery ≈ 6.7 with
     // a heavy tail, so with dozens of messages some channel climbs well
     // past the default cap (max_backoff_exp = 6 ⇒ saturation at attempt 7,
@@ -71,7 +69,6 @@ fn backoff_cap_is_reached_and_held() {
 
 #[test]
 fn duplicate_suppression_after_a_retransmit_race() {
-    std::env::remove_var("CORD_FAULTS");
     // Dropping ACKs (not payloads) is the race recipe: the receiver
     // handles the original, the sender never learns and retransmits, and
     // the receiver's dedup must absorb the echo.
@@ -91,7 +88,6 @@ fn duplicate_suppression_after_a_retransmit_race() {
 
 #[test]
 fn clean_runs_produce_no_transport_recovery_edges() {
-    std::env::remove_var("CORD_FAULTS");
     // Fault-free control: the recovery families must be absent, so the
     // assertions above measure the transport, not coverage-map noise.
     let mut sc = scenario("seed=1; drop=0.85; rto=800");
