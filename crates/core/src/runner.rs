@@ -15,8 +15,8 @@ use cord_mem::{Addr, Memory};
 use cord_noc::{EgressDelivery, MsgClass, Noc, PairFlow, TileId, TrafficStats};
 use cord_proto::{
     CoreCtx, CoreEffect, CoreId, CoreProtoStats, CoreProtocol, DirCtx, DirEffect, DirId,
-    DirProtocol, DirStorage, FaultSpec, Msg, MsgKind, NodeRef, Program, RecvOutcome, StallCause,
-    SystemConfig, Transport, TransportConfig, ACK_BYTES,
+    DirProtocol, DirStorage, FaultSpec, Msg, MsgKind, NodeRef, Program, RecvOutcome, Resend,
+    StallCause, SystemConfig, Transport, TransportConfig, ACK_BYTES,
 };
 use cord_sim::fault::{CrashKind, FaultPlan};
 use cord_sim::obs::{ProfileSummary, SeriesSet};
@@ -39,25 +39,24 @@ pub(crate) enum Event {
         msg: Msg,
         /// The sender's session epoch when it was transmitted.
         sess: u32,
-        /// Its channel sequence number.
+        /// Its host-pair link sequence number.
         seq: u64,
+        /// Which transmission of the message this copy is (1 = first).
+        attempt: u32,
     },
-    /// A transport acknowledgment arrives back at the sender of `(src,
-    /// dst)` channel sequence `seq`; `dup` reports a duplicate delivery.
+    /// A transport acknowledgment arrives back at tile `src`, the sender
+    /// of link sequence `seq` to tile `dst`; it echoes the acknowledged
+    /// copy's `attempt`, and `dup` reports a duplicate delivery.
     XportAck {
         src: u32,
         dst: u32,
         sess: u32,
         seq: u64,
+        attempt: u32,
         dup: bool,
     },
-    /// A retransmission timer fires at the sender.
-    XportTimeout {
-        src: u32,
-        dst: u32,
-        sess: u32,
-        seq: u64,
-    },
+    /// A source host's retransmission timer fires.
+    XportTimeout { host: u32 },
     /// A core's scheduled issue step (with its generation stamp).
     CoreStep { core: u32, gen: u64 },
     /// A protocol wake for a stalled core.
@@ -140,13 +139,19 @@ pub(crate) enum Wire {
     /// Clean-fabric delivery.
     Deliver(Msg),
     /// Transport-tagged delivery.
-    DeliverSeq { msg: Msg, sess: u32, seq: u64 },
+    DeliverSeq {
+        msg: Msg,
+        sess: u32,
+        seq: u64,
+        attempt: u32,
+    },
     /// Transport acknowledgment travelling back to the sender.
     XportAck {
         src: u32,
         dst: u32,
         sess: u32,
         seq: u64,
+        attempt: u32,
         dup: bool,
     },
 }
@@ -174,18 +179,30 @@ impl Wire {
     fn into_event(self) -> Event {
         match self {
             Wire::Deliver(msg) => Event::Deliver(msg),
-            Wire::DeliverSeq { msg, sess, seq } => Event::DeliverSeq { msg, sess, seq },
+            Wire::DeliverSeq {
+                msg,
+                sess,
+                seq,
+                attempt,
+            } => Event::DeliverSeq {
+                msg,
+                sess,
+                seq,
+                attempt,
+            },
             Wire::XportAck {
                 src,
                 dst,
                 sess,
                 seq,
+                attempt,
                 dup,
             } => Event::XportAck {
                 src,
                 dst,
                 sess,
                 seq,
+                attempt,
                 dup,
             },
         }
@@ -542,7 +559,11 @@ impl System {
         self.fault_spec = Some((plan.clone(), xcfg));
         xcfg.fifo = self.cfg.protocol.needs_fifo();
         self.noc.set_faults(Some(plan));
-        self.xport = Some(Transport::new(xcfg));
+        self.xport = Some(Transport::new(
+            xcfg,
+            self.cfg.noc.hosts,
+            self.cfg.noc.tiles_per_host,
+        ));
         if self.watchdog.is_none() {
             self.watchdog = Some(Time::from_us(1000));
         }
@@ -730,24 +751,25 @@ impl System {
     pub(crate) fn handle_event(&mut self, now: Time, ev: Event) {
         match ev {
             Event::Deliver(msg) => self.dispatch(now, msg),
-            Event::DeliverSeq { msg, sess, seq } => self.deliver_tagged(now, msg, sess, seq),
+            Event::DeliverSeq {
+                msg,
+                sess,
+                seq,
+                attempt,
+            } => self.deliver_tagged(now, msg, sess, seq, attempt),
             Event::XportAck {
                 src,
                 dst,
                 sess,
                 seq,
+                attempt,
                 dup,
             } => {
                 if let Some(x) = self.xport.as_mut() {
-                    x.on_ack(src, dst, sess, seq, dup);
+                    x.on_ack(src, dst, sess, seq, attempt, dup);
                 }
             }
-            Event::XportTimeout {
-                src,
-                dst,
-                sess,
-                seq,
-            } => self.on_xport_timeout(now, src, dst, sess, seq),
+            Event::XportTimeout { host } => self.on_xport_timer(now, host),
             Event::CoreStep { core, gen } => {
                 self.with_core(
                     (core - self.tile_base) as usize,
@@ -868,16 +890,14 @@ impl System {
                     });
                     return;
                 };
-                let cfg = *x.config();
-                let replays = x.reset_src_range(lo, hi);
+                let mut replays = Vec::new();
+                let arm = x.reset_host(host, now, &mut replays);
                 self.tracer.emit_with(now, || TraceData::CrashInject {
                     host,
                     kind: kind.label(),
                     units: replays.len() as u32,
                 });
-                for r in replays {
-                    self.send_tagged(now, r.msg, r.sess, r.seq, cfg.reliable.then_some(cfg.rto));
-                }
+                self.resend(now, replays, arm, host);
             }
         }
     }
@@ -1058,7 +1078,7 @@ impl System {
                 m.src.tile_flat(),
                 m.dst.tile_flat()
             ),
-            Event::DeliverSeq { msg, sess, seq } => format!(
+            Event::DeliverSeq { msg, sess, seq, .. } => format!(
                 "deliver {} sess {sess} seq {seq} tile{} -> tile{}",
                 msg.kind.name(),
                 msg.src.tile_flat(),
@@ -1073,14 +1093,7 @@ impl System {
             } => {
                 format!("xport ack sess {sess} seq {seq} for tile{src} -> tile{dst}")
             }
-            Event::XportTimeout {
-                src,
-                dst,
-                sess,
-                seq,
-            } => {
-                format!("xport timer sess {sess} seq {seq} tile{src} -> tile{dst}")
-            }
+            Event::XportTimeout { host } => format!("xport timer host {host}"),
             Event::CoreStep { core, .. } => format!("core {core} step"),
             Event::CoreWake { core } => format!("core {core} wake"),
             Event::DirWake { dir } => format!("dir {dir} retry"),
@@ -1150,12 +1163,12 @@ impl System {
     /// suppress duplicates, and deliver whatever the receiver releases
     /// (possibly several messages when a FIFO gap fills, or none when the
     /// arrival is held back).
-    fn deliver_tagged(&mut self, now: Time, msg: Msg, sess: u32, seq: u64) {
+    fn deliver_tagged(&mut self, now: Time, msg: Msg, sess: u32, seq: u64, attempt: u32) {
         let (sflat, dflat) = (msg.src.tile_flat(), msg.dst.tile_flat());
         let Some(x) = self.xport.as_mut() else {
             return self.dispatch(now, msg);
         };
-        let outcome = x.on_deliver(sflat, dflat, sess, seq, msg);
+        let outcome = x.on_deliver(sess, seq, msg);
         if outcome == RecvOutcome::Duplicate {
             self.tracer.emit_with(now, || TraceData::XportDupDrop {
                 src: sflat,
@@ -1185,6 +1198,7 @@ impl System {
                 dst: dflat,
                 sess,
                 seq,
+                attempt,
                 dup: outcome == RecvOutcome::Duplicate,
             },
         );
@@ -1195,37 +1209,56 @@ impl System {
         }
     }
 
-    /// Retransmission timer: if the message is still unacknowledged,
-    /// retransmit it and re-arm the (backed-off) timer. A message that is
-    /// never acknowledged re-arms forever, each time up to
-    /// [`Time::SPEC_MAX`] later, and retransmissions count as progress; so
-    /// the transport gives up once the clock passes its midpoint, before
-    /// the sums formed from `now` can overflow. The lost message then
-    /// deadlocks the run or trips the watchdog.
-    fn on_xport_timeout(&mut self, now: Time, src: u32, dst: u32, sess: u32, seq: u64) {
+    /// Host `host`'s retransmission timer: retransmit every overdue
+    /// unacknowledged message of the host and re-arm at its next deadline.
+    /// A message that is never acknowledged is retransmitted forever, each
+    /// time up to [`Time::SPEC_MAX`] later, and retransmissions count as
+    /// progress; so the transport gives up once the clock passes its
+    /// midpoint, before the sums formed from `now` can overflow. The lost
+    /// message then deadlocks the run or trips the watchdog.
+    fn on_xport_timer(&mut self, now: Time, host: u32) {
         let Some(x) = self.xport.as_mut() else {
             return;
         };
         if now.as_ps() > u64::MAX / 2 {
             return;
         }
-        if let Some((msg, attempt, delay)) = x.on_timeout(src, dst, sess, seq) {
+        let mut resends = Vec::new();
+        let arm = x.on_timer(host, now, &mut resends);
+        for r in &resends {
             self.tracer.emit_with(now, || TraceData::XportRetrans {
-                src,
-                dst,
-                seq,
-                attempt,
+                src: r.msg.src.tile_flat(),
+                dst: r.msg.dst.tile_flat(),
+                seq: r.seq,
+                attempt: r.attempt,
             });
-            self.send_wire(now, Wire::DeliverSeq { msg, sess, seq });
-            self.queue.push(
-                now + delay,
-                Event::XportTimeout {
-                    src,
-                    dst,
-                    sess,
-                    seq,
+        }
+        self.resend(now, resends, arm, host);
+    }
+
+    /// Sends transport copies (retransmissions or session replays) of
+    /// `host`'s messages at `now`, then arms the host's retransmission
+    /// timer at `arm`, if the transport moved it.
+    fn resend(&mut self, now: Time, copies: Vec<Resend>, arm: Option<Time>, host: u32) {
+        for r in copies {
+            self.send_wire(
+                now,
+                Wire::DeliverSeq {
+                    msg: r.msg,
+                    sess: r.sess,
+                    seq: r.seq,
+                    attempt: r.attempt,
                 },
             );
+        }
+        self.arm_xport_timer(host, arm);
+    }
+
+    /// Schedules `host`'s retransmission timer at `arm`, when the transport
+    /// moved it earlier (a timer it superseded fires as a no-op).
+    fn arm_xport_timer(&mut self, host: u32, arm: Option<Time>) {
+        if let Some(at) = arm {
+            self.queue.push(at, Event::XportTimeout { host });
         }
     }
 
@@ -1457,31 +1490,19 @@ impl System {
         if let Some(x) = self.xport.as_mut() {
             // Fault-injection mode: tag with a sequence number and retain a
             // retransmission copy.
-            let cfg = *x.config();
-            let (sess, seq) = x.wrap(msg.src.tile_flat(), msg.dst.tile_flat(), &mut msg);
-            self.send_tagged(depart, msg, sess, seq, cfg.reliable.then_some(cfg.rto));
+            let (sess, seq, arm) = x.wrap(depart, &mut msg);
+            let host = msg.src.tile_flat() / self.cfg.noc.tiles_per_host;
+            let wire = Wire::DeliverSeq {
+                msg,
+                sess,
+                seq,
+                attempt: 1,
+            };
+            self.send_wire(depart, wire);
+            self.arm_xport_timer(host, arm);
             return;
         }
         self.send_wire(depart, Wire::Deliver(msg));
-    }
-
-    /// Sends a transport-tagged message (a first transmission or a session
-    /// replay) and arms its first retransmission timer `rto` after the
-    /// departure (`None` on an unreliable transport).
-    fn send_tagged(&mut self, depart: Time, msg: Msg, sess: u32, seq: u64, rto: Option<Time>) {
-        let (src, dst) = (msg.src.tile_flat(), msg.dst.tile_flat());
-        self.send_wire(depart, Wire::DeliverSeq { msg, sess, seq });
-        if let Some(rto) = rto {
-            self.queue.push(
-                depart + rto,
-                Event::XportTimeout {
-                    src,
-                    dst,
-                    sess,
-                    seq,
-                },
-            );
-        }
     }
 
     pub(crate) fn check_finished(&self) -> Result<(), RunError> {
@@ -1729,6 +1750,13 @@ mod tests {
         let mut sys = System::new(cfg, programs);
         sys.set_max_events(50_000);
         sys.run(); // poll spins until the event cap...
+    }
+
+    /// Queue entries are `Event`s: a field added for faulted runs (the
+    /// transport's attempt number) must not grow every clean run's queue.
+    #[test]
+    fn event_stays_120_bytes() {
+        assert_eq!(std::mem::size_of::<Event>(), 120);
     }
 
     fn faulted_run(kind: ProtocolKind, spec: &str) -> RunResult {

@@ -726,7 +726,9 @@ impl Noc {
     /// folding the pair index into the sequence), so a message's fate
     /// depends only on its channel and position — never on how concurrent
     /// traffic on other channels interleaves. Dropped messages still consume
-    /// egress bandwidth; duplicates consume it twice. An inter-host copy
+    /// egress bandwidth; duplicates consume it twice, the copy serialized
+    /// right behind the original and its lag added past the port (as a
+    /// delayed copy's is). An inter-host copy
     /// still owes [`Noc::ingress`]. Charged at once on a delayed arrival
     /// time, it would hold the destination port for traffic that arrives
     /// before it: charge it at the clean arrival (`reach - faulted`) and
@@ -775,8 +777,11 @@ impl Noc {
                 if extra > Time::ZERO {
                     self.stats.faults.delayed += 1;
                 }
-                // The duplicate is a real frame: account its bandwidth.
-                let second = self.egress(now + second_extra, src, dst, bytes, class);
+                // The duplicate is a real frame: account its bandwidth. It
+                // serializes back to back with the original and lags after
+                // the port, so it never reserves the link in the future
+                // for frames the host sends meanwhile.
+                let second = self.egress(now, src, dst, bytes, class) + second_extra;
                 EgressDelivery::Duplicate {
                     first: clean + extra,
                     second: second.max(clean + extra),
@@ -1297,6 +1302,48 @@ mod tests {
         assert!(f.delayed > 0);
         // Duplicates consume bandwidth twice; drops still consume it once.
         assert_eq!(noc.stats().inter_msgs(), 200 + dups);
+    }
+
+    /// A duplicated frame's copy serializes right behind the original and
+    /// lags past the port: a frame the host sends 1 ns later departs within
+    /// one serialization instead of queueing behind the copy's lag, and
+    /// the copy's bytes still count.
+    #[test]
+    fn duplicate_does_not_reserve_the_egress_link() {
+        use cord_sim::fault::{FaultPlan, FaultRule};
+        let cfg = NocConfig::cxl(2, 8);
+        let (src, dst) = (TileId::new(0, 0), TileId::new(1, 0));
+        let mut noc = Noc::new(cfg);
+        noc.set_faults(Some(FaultPlan::new(3).with_rule(FaultRule {
+            dup: 1.0,
+            ..FaultRule::default()
+        })));
+        let t0 = Time::from_ns(100);
+        let EgressDelivery::Duplicate { first, second } =
+            noc.transmit_egress(t0, src, dst, 64, MsgClass::Data)
+        else {
+            panic!("a dup-only plan duplicates every frame");
+        };
+        assert!(second > first, "the copy lags the original");
+        // The next frame's clean reach: behind both serializations at
+        // most, never behind the copy's lag.
+        let ser = cfg.serialization(64);
+        let mut clean = Noc::new(cfg);
+        let alone = clean.egress(t0 + Time::from_ns(1), src, dst, 64, MsgClass::Data);
+        let EgressDelivery::Duplicate { first: next, .. } =
+            noc.transmit_egress(t0 + Time::from_ns(1), src, dst, 64, MsgClass::Data)
+        else {
+            panic!("a dup-only plan duplicates every frame");
+        };
+        assert!(
+            next <= alone + ser + ser,
+            "next frame reaches at {next}, clean {alone}, one serialization {ser}"
+        );
+        assert!(next < second, "the next frame overtakes the lagging copy");
+        let stats = noc.stats();
+        assert_eq!(stats[MsgClass::Data].inter_msgs, 4, "both copies counted");
+        assert_eq!(stats[MsgClass::Data].inter_bytes, 4 * 64);
+        assert_eq!(stats.faults.duplicated, 2);
     }
 
     #[test]

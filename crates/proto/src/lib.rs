@@ -44,6 +44,6 @@ pub use ops::{FenceKind, LoadOrd, Op, Program, ProgramBuilder, StoreOrd};
 pub use seq::{SeqCore, SeqDir};
 pub use so::{SoCore, SoDir};
 pub use transport::{
-    FaultSpec, RecvOutcome, Transport, TransportConfig, XportStats, ACK_BYTES, SEQ_BYTES,
+    FaultSpec, RecvOutcome, Resend, Transport, TransportConfig, XportStats, ACK_BYTES, SEQ_BYTES,
 };
 pub use wb::{WbCore, WbDir};

@@ -121,7 +121,8 @@ pub enum CrashKind {
     /// pending cross-directory notifications are wiped.
     DirReset,
     /// Reset the host's transport: unacked buffers are replayed into a new
-    /// session epoch and old-session retransmission timers become stale.
+    /// session epoch with fresh retransmission deadlines, and old-session
+    /// acks and copies become stale.
     XportReset,
 }
 

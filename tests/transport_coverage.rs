@@ -1,6 +1,6 @@
 //! Transport-layer fault-recovery edges, asserted through the coverage map.
 //!
-//! `cord_proto::transport` implements per-channel go-back retransmission
+//! `cord_proto::transport` implements per-host-pair-link retransmission
 //! with exponential backoff (capped at `max_backoff_exp`) and duplicate
 //! suppression. These behaviors previously had no direct test: they were
 //! exercised incidentally by fault campaigns but nothing pinned the
