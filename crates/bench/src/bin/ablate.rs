@@ -10,9 +10,9 @@
 //!    CXL's reserved bits were unavailable for the epoch number.
 
 use cord::{RunConfig, System};
-use cord_bench::sweep::{run_recorded, Job};
 use cord_bench::{config, print_table, Fabric};
 use cord_proto::{ConsistencyModel, Op, Program, ProtocolKind, StoreOrd, SystemConfig};
+use cord_sim::par::run_parallel;
 use cord_workloads::{MicroBench, Region};
 
 fn main() {
@@ -70,24 +70,13 @@ fn notifications_vs_source_join() {
         ("inter-directory notification", false),
         ("source join (fence)", true),
     ];
-    let jobs: Vec<Job<_>> = variants
-        .iter()
-        .map(|&(label, source_join)| -> Job<_> {
-            let cfg0 = &cfg0;
-            let build = &build;
-            (
-                format!("ablate1/{label}"),
-                Box::new(move || {
-                    let mut cfg = cfg0.clone();
-                    cfg.tables.proc_unacked = 64;
-                    cfg.tables.dir_cnt_per_proc = 64;
-                    cfg.tables.dir_noti_per_proc = 64;
-                    System::new(cfg, build(source_join)).run()
-                }),
-            )
-        })
-        .collect();
-    let results = run_recorded("ablate1", jobs, |r| r.completion().as_ns_f64());
+    let results = run_parallel(&variants, |&(_, source_join)| {
+        let mut cfg = cfg0.clone();
+        cfg.tables.proc_unacked = 64;
+        cfg.tables.dir_cnt_per_proc = 64;
+        cfg.tables.dir_noti_per_proc = 64;
+        System::new(cfg, build(source_join)).run()
+    });
 
     let mut rows = Vec::new();
     for ((label, _), r) in variants.iter().zip(results) {
@@ -108,29 +97,16 @@ fn notifications_vs_source_join() {
 /// §5.4 methodology: the smallest unacked-epoch table with no degradation.
 fn table_provisioning() {
     let mb = MicroBench::new(64, 512, 1).with_iters(64); // fine-grained syncs
-    let mb = &mb;
     let sizes = [1usize, 2, 4, 8, 16, 32, 64];
-    let jobs: Vec<Job<_>> = sizes
-        .iter()
-        .map(|&entries| -> Job<_> {
-            (
-                format!("ablate2/unacked{entries}"),
-                Box::new(move || {
-                    let mut cfg: SystemConfig =
-                        config(ProtocolKind::Cord, Fabric::Cxl, 8, ConsistencyModel::Rc);
-                    cfg.tables.proc_unacked = entries;
-                    cfg.tables.dir_cnt_per_proc = entries.max(8);
-                    cfg.tables.dir_noti_per_proc = entries.max(8);
-                    let programs = mb.programs(&cfg);
-                    System::new(cfg, programs).run()
-                }),
-            )
-        })
-        .collect();
-    let times: Vec<f64> = run_recorded("ablate2", jobs, |r| r.completion().as_ns_f64())
-        .into_iter()
-        .map(|r| r.completion().as_us_f64())
-        .collect();
+    let times: Vec<f64> = run_parallel(&sizes, |&entries| {
+        let mut cfg: SystemConfig =
+            config(ProtocolKind::Cord, Fabric::Cxl, 8, ConsistencyModel::Rc);
+        cfg.tables.proc_unacked = entries;
+        cfg.tables.dir_cnt_per_proc = entries.max(8);
+        cfg.tables.dir_noti_per_proc = entries.max(8);
+        let programs = mb.programs(&cfg);
+        System::new(cfg, programs).run().completion().as_us_f64()
+    });
     let best = times.iter().copied().fold(f64::MAX, f64::min);
     let rows: Vec<Vec<String>> = sizes
         .iter()
@@ -154,24 +130,14 @@ fn table_provisioning() {
 /// What the 8-bit epoch would cost without CXL's free reserved header bits.
 fn reserved_bits() {
     let mb = MicroBench::new(8, 4096, 1).with_iters(16); // word-granularity stores
-    let mb = &mb;
     let variants = [8u8, 0];
-    let jobs: Vec<Job<_>> = variants
-        .iter()
-        .map(|&reserved| -> Job<_> {
-            (
-                format!("ablate3/reserved{reserved}"),
-                Box::new(move || {
-                    let mut cfg = config(ProtocolKind::Cord, Fabric::Cxl, 8, ConsistencyModel::Rc);
-                    cfg.widths.reserved_bits = reserved;
-                    cfg.tables.proc_unacked = 64;
-                    let programs = mb.programs(&cfg);
-                    System::new(cfg, programs).run()
-                }),
-            )
-        })
-        .collect();
-    let results = run_recorded("ablate3", jobs, |r| r.completion().as_ns_f64());
+    let results = run_parallel(&variants, |&reserved| {
+        let mut cfg = config(ProtocolKind::Cord, Fabric::Cxl, 8, ConsistencyModel::Rc);
+        cfg.widths.reserved_bits = reserved;
+        cfg.tables.proc_unacked = 64;
+        let programs = mb.programs(&cfg);
+        System::new(cfg, programs).run()
+    });
 
     let mut rows = Vec::new();
     for (&reserved, r) in variants.iter().zip(results) {

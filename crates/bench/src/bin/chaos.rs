@@ -6,8 +6,7 @@
 //! reliable transport and liveness watchdog armed. For every run the
 //! campaign asserts the release-consistency invariant (every value read
 //! after a flag wait equals the fault-free value) and termination (no
-//! watchdog trip, no event-cap blowout), then records timings into
-//! `results/BENCH_chaos.json` (override with `CORD_BENCH_JSON`).
+//! watchdog trip, no event-cap blowout) and prints one verdict per run.
 //!
 //! The matrix has two tiers: `fabric` (message-level loss, duplication,
 //! reordering, degradation bursts) and `crash` (node-scoped resets — a
@@ -28,11 +27,8 @@
 //! — `--quick` runs one seed per plan; the filters select a subset of the
 //! matrix (CI shards the campaign across them).
 
-use std::time::Instant;
-
 use cord::{RunConfig, RunError, RunResult, System};
 use cord_bench::print_table;
-use cord_bench::sweep::{json_path, Recorder};
 use cord_proto::{Program, ProtocolKind, SystemConfig};
 use cord_sim::obs::{render_flight, Progress};
 use cord_sim::Time;
@@ -89,7 +85,6 @@ type ProgramsFor = Box<dyn Fn(&SystemConfig) -> Vec<Program>>;
 struct Cell {
     label: String,
     outcome: Result<RunResult, RunError>,
-    wall_ms: f64,
     /// Consumer register file from the fault-free reference run.
     baseline: [u64; 16],
     consumer: usize,
@@ -101,7 +96,7 @@ fn run_cell(
     programs_for: &dyn Fn(&SystemConfig) -> Vec<Program>,
     spec: Option<&str>,
     flight: bool,
-) -> (Result<RunResult, RunError>, f64, usize, Option<String>) {
+) -> (Result<RunResult, RunError>, usize, Option<String>) {
     let cfg = SystemConfig::cxl(kind, hosts);
     let tph = cfg.noc.tiles_per_host as usize;
     let consumer = if hosts > 2 { 3 * tph } else { tph };
@@ -117,9 +112,7 @@ fn run_cell(
         sys.tracer_mut().arm_flight(16384);
         sys.set_watchdog(Some(Time::from_us(200)));
     }
-    let start = Instant::now();
     let out = sys.try_run();
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let dump = match &out {
         Err(e) if flight => {
             let rings = sys.take_flight_rings();
@@ -127,7 +120,7 @@ fn run_cell(
         }
         _ => None,
     };
-    (out, wall_ms, consumer, dump)
+    (out, consumer, dump)
 }
 
 /// Writes a failing crash-tier cell's flight dump under `results/flight/`
@@ -195,7 +188,6 @@ fn main() {
     let seeds: &[u64] = if quick { &[7] } else { &[7, 41, 1234] };
     let (rounds, words) = if quick { (4, 8) } else { (8, 16) };
 
-    let mut rec = Recorder::new("chaos").at_path(json_path("results/BENCH_chaos.json"));
     // Campaign size, counted up front for the status line: engines × their
     // eligible workloads × plans in selected tiers × seeds.
     let workloads_for = |kind: ProtocolKind| if kind.global_rc() { 2u64 } else { 1 };
@@ -216,7 +208,7 @@ fn main() {
                 Box::new(move |cfg| single_dst(cfg, rounds, words))
             };
             // Fault-free reference for the RC invariant.
-            let (base, _, consumer, _) = run_cell(kind, hosts, programs_for.as_ref(), None, false);
+            let (base, consumer, _) = run_cell(kind, hosts, programs_for.as_ref(), None, false);
             let baseline = base.expect("fault-free reference must complete").regs[consumer];
             for &(tier, plans) in &tiers {
                 let flight = tier == "crash";
@@ -224,22 +216,18 @@ fn main() {
                     for &seed in seeds {
                         let full = format!("seed={seed}; {spec}");
                         let label = format!("{}/{workload}/{plan}/s{seed}", kind.label());
-                        let (outcome, wall_ms, consumer, dump) =
+                        let (outcome, consumer, dump) =
                             run_cell(kind, hosts, programs_for.as_ref(), Some(&full), flight);
-                        match &outcome {
-                            Ok(r) => rec.record(&label, wall_ms, r.completion().as_ns_f64()),
-                            Err(_) => {
-                                prog.flag();
-                                if let Some(text) = &dump {
-                                    write_flight_dump(&label, text);
-                                }
+                        if outcome.is_err() {
+                            prog.flag();
+                            if let Some(text) = &dump {
+                                write_flight_dump(&label, text);
                             }
                         }
                         prog.inc(1);
                         cells.push(Cell {
                             label,
                             outcome,
-                            wall_ms,
                             baseline,
                             consumer,
                         });
@@ -278,18 +266,13 @@ fn main() {
                 format!("FAILED: {}", first.lines().next().unwrap_or("?"))
             }
         };
-        rows.push(vec![
-            cell.label.clone(),
-            format!("{:.1}", cell.wall_ms),
-            verdict,
-        ]);
+        rows.push(vec![cell.label.clone(), verdict]);
     }
     print_table(
         "Chaos campaign: RC invariants under a faulty fabric",
-        &["run", "wall (ms)", "verdict"],
+        &["run", "verdict"],
         &rows,
     );
-    rec.finish();
 
     // Negative check: a lost Notify with retransmission disabled must be
     // caught by the liveness watchdog, with a narrative naming the hang.

@@ -9,9 +9,9 @@
 //! CORD should match both simultaneously.
 
 use cord::{RunConfig, System};
-use cord_bench::sweep::{run_recorded, Job};
 use cord_bench::{config, print_table, Fabric};
 use cord_proto::{ConsistencyModel, ProtocolKind, SystemConfig};
+use cord_sim::par::run_parallel;
 use cord_workloads::MicroBench;
 
 fn bench() -> MicroBench {
@@ -60,21 +60,15 @@ fn main() {
     RunConfig::from_env_or_exit().install();
     let per_fabric: Vec<(Fabric, Vec<(String, SystemConfig)>)> =
         Fabric::BOTH.into_iter().map(|f| (f, variants(f))).collect();
-    let jobs: Vec<Job<_>> = per_fabric
+    let cfgs: Vec<&SystemConfig> = per_fabric
         .iter()
-        .flat_map(|(fabric, vs)| {
-            vs.iter().map(move |(label, cfg)| -> Job<_> {
-                (
-                    format!("{}/{label}", fabric.label()),
-                    Box::new(move || {
-                        let programs = bench().programs(cfg);
-                        System::new(cfg.clone(), programs).run()
-                    }),
-                )
-            })
-        })
+        .flat_map(|(_, vs)| vs.iter().map(|(_, cfg)| cfg))
         .collect();
-    let mut results = run_recorded("fig10", jobs, |r| r.completion().as_ns_f64()).into_iter();
+    let mut results = run_parallel(&cfgs, |&cfg| {
+        let programs = bench().programs(cfg);
+        System::new(cfg.clone(), programs).run()
+    })
+    .into_iter();
 
     for (fabric, vs) in &per_fabric {
         let pairs: Vec<(f64, f64)> = vs

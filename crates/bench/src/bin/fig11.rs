@@ -6,12 +6,12 @@
 //! `alltoall` stressor, at 2/4/8 hosts over CXL and UPI.
 //!
 //! `--wide` extends the sweep past the paper: the ATA stressor at
-//! 16–512 hosts over CXL, recorded under a separate `fig11_wide` sweep key
-//! so the paper-range record stays byte-identical.
+//! 16–512 hosts over CXL, printed as a separate table after the
+//! paper-range ones, which stay byte-identical.
 
-use cord_bench::sweep::{run_recorded, Job};
 use cord_bench::{print_table, run_app, Fabric};
 use cord_proto::{ConsistencyModel, ProtocolKind};
+use cord_sim::par::run_parallel;
 use cord_workloads::AppSpec;
 
 const APPS: [&str; 4] = ["SSSP", "PAD", "PR", "ATA"];
@@ -26,22 +26,17 @@ fn main() {
         .iter()
         .map(|n| AppSpec::by_name(n).expect("known app"))
         .collect();
-    let jobs: Vec<Job<_>> = Fabric::BOTH
+    let runs: Vec<_> = Fabric::BOTH
         .iter()
         .flat_map(|&fabric| {
-            apps.iter().flat_map(move |app| {
-                HOSTS.iter().map(move |&hosts| -> Job<_> {
-                    (
-                        format!("{}/{}/{hosts}PU", fabric.label(), app.name),
-                        Box::new(move || {
-                            run_app(app, ProtocolKind::Cord, fabric, hosts, ConsistencyModel::Rc)
-                        }),
-                    )
-                })
-            })
+            apps.iter()
+                .flat_map(move |app| HOSTS.iter().map(move |&hosts| (fabric, app, hosts)))
         })
         .collect();
-    let mut results = run_recorded("fig11", jobs, |r| r.completion().as_ns_f64()).into_iter();
+    let mut results = run_parallel(&runs, |&(fabric, app, hosts)| {
+        run_app(app, ProtocolKind::Cord, fabric, hosts, ConsistencyModel::Rc)
+    })
+    .into_iter();
 
     for fabric in Fabric::BOTH {
         let mut rows = Vec::new();
@@ -67,24 +62,15 @@ fn main() {
 
     if wide {
         let ata = AppSpec::by_name("ATA").expect("known app");
-        let jobs: Vec<Job<_>> = WIDE_HOSTS
-            .iter()
-            .map(|&hosts| -> Job<_> {
-                (
-                    format!("CXL/ATA/{hosts}PU"),
-                    Box::new(move || {
-                        run_app(
-                            &ata,
-                            ProtocolKind::Cord,
-                            Fabric::Cxl,
-                            hosts,
-                            ConsistencyModel::Rc,
-                        )
-                    }),
-                )
-            })
-            .collect();
-        let results = run_recorded("fig11_wide", jobs, |r| r.completion().as_ns_f64());
+        let results = run_parallel(&WIDE_HOSTS, |&hosts| {
+            run_app(
+                &ata,
+                ProtocolKind::Cord,
+                Fabric::Cxl,
+                hosts,
+                ConsistencyModel::Rc,
+            )
+        });
         let rows: Vec<Vec<String>> = WIDE_HOSTS
             .iter()
             .zip(&results)

@@ -5,9 +5,9 @@
 //! directory, lookup tables vs the network buffer holding recycled Release
 //! stores.
 
-use cord_bench::sweep::{run_recorded, Job};
 use cord_bench::{print_table, run_app, Fabric};
 use cord_proto::{ConsistencyModel, ProtocolKind};
+use cord_sim::par::run_parallel;
 use cord_workloads::AppSpec;
 
 const HOSTS: [u32; 3] = [2, 4, 8];
@@ -15,21 +15,20 @@ const HOSTS: [u32; 3] = [2, 4, 8];
 fn main() {
     cord::RunConfig::from_env_or_exit().install();
     let app = AppSpec::ata();
-    let app = &app;
-    let jobs: Vec<Job<_>> = Fabric::BOTH
+    let runs: Vec<_> = Fabric::BOTH
         .iter()
-        .flat_map(|&fabric| {
-            HOSTS.iter().map(move |&hosts| -> Job<_> {
-                (
-                    format!("{}/ATA/{hosts}PU", fabric.label()),
-                    Box::new(move || {
-                        run_app(app, ProtocolKind::Cord, fabric, hosts, ConsistencyModel::Rc)
-                    }),
-                )
-            })
-        })
+        .flat_map(|&fabric| HOSTS.iter().map(move |&hosts| (fabric, hosts)))
         .collect();
-    let mut results = run_recorded("fig12", jobs, |r| r.completion().as_ns_f64()).into_iter();
+    let mut results = run_parallel(&runs, |&(fabric, hosts)| {
+        run_app(
+            &app,
+            ProtocolKind::Cord,
+            fabric,
+            hosts,
+            ConsistencyModel::Rc,
+        )
+    })
+    .into_iter();
 
     for fabric in Fabric::BOTH {
         let mut rows = Vec::new();

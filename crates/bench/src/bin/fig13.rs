@@ -7,10 +7,10 @@
 //! orders its point-to-point channels (an efficiency upper bound — it still
 //! does not provide global TSO).
 
-use cord::{RunConfig, RunResult};
-use cord_bench::sweep::{run_recorded, Job};
+use cord::RunConfig;
 use cord_bench::{geomean, print_table, ratio, run_app, Fabric};
 use cord_proto::{ConsistencyModel, ProtocolKind};
+use cord_sim::par::run_parallel;
 use cord_workloads::{table2_apps, AppSpec};
 
 /// Schemes per app in output order; MP is skipped for MP-incompatible apps.
@@ -29,20 +29,20 @@ fn main() {
         .into_iter()
         .filter(|a| a.name != "ATA")
         .collect();
-    let jobs: Vec<Job<RunResult>> = Fabric::BOTH
+    let runs: Vec<_> = Fabric::BOTH
         .iter()
         .flat_map(|&fabric| {
             apps.iter().flat_map(move |app| {
-                schemes(app).into_iter().map(move |kind| -> Job<RunResult> {
-                    (
-                        format!("{}/{}/{:?}", fabric.label(), app.name, kind),
-                        Box::new(move || run_app(app, kind, fabric, 8, ConsistencyModel::Tso)),
-                    )
-                })
+                schemes(app)
+                    .into_iter()
+                    .map(move |kind| (fabric, app, kind))
             })
         })
         .collect();
-    let mut results = run_recorded("fig13", jobs, |r| r.completion().as_ns_f64()).into_iter();
+    let mut results = run_parallel(&runs, |&(fabric, app, kind)| {
+        run_app(app, kind, fabric, 8, ConsistencyModel::Tso)
+    })
+    .into_iter();
 
     for fabric in Fabric::BOTH {
         let mut rows = Vec::new();

@@ -5,10 +5,10 @@
 //! write-through acknowledgments, and the percentage of inter-PU traffic the
 //! acknowledgments themselves consume.
 
-use cord_bench::sweep::{run_recorded_with, Job};
 use cord_bench::{print_table, run_app, Fabric};
 use cord_noc::MsgClass;
 use cord_proto::{ConsistencyModel, ProtocolKind, StallCause};
+use cord_sim::par::run_parallel;
 use cord_workloads::table2_apps;
 
 fn main() {
@@ -17,27 +17,13 @@ fn main() {
         .into_iter()
         .filter(|a| a.name != "ATA")
         .collect();
-    let jobs: Vec<Job<_>> = Fabric::BOTH
+    let runs: Vec<_> = Fabric::BOTH
         .iter()
-        .flat_map(|&fabric| {
-            apps.iter().map(move |app| -> Job<_> {
-                (
-                    format!("{}/{}", fabric.label(), app.name),
-                    Box::new(move || {
-                        run_app(app, ProtocolKind::So, fabric, 8, ConsistencyModel::Rc)
-                    }),
-                )
-            })
-        })
+        .flat_map(|&fabric| apps.iter().map(move |app| (fabric, app)))
         .collect();
-    // With CORD_TRACE set, each run's metrics snapshot rides into the
-    // sweep record alongside its timing.
-    let mut results = run_recorded_with(
-        "fig2",
-        jobs,
-        |r| r.completion().as_ns_f64(),
-        |r| r.metrics.as_ref().map(|m| m.to_json()),
-    )
+    let mut results = run_parallel(&runs, |&(fabric, app)| {
+        run_app(app, ProtocolKind::So, fabric, 8, ConsistencyModel::Rc)
+    })
     .into_iter();
 
     for fabric in Fabric::BOTH {

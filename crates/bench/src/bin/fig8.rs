@@ -5,28 +5,24 @@
 //! normalized to CORD, over CXL and UPI. Fixed parameters follow the
 //! figure's caption: 64 B stores, 4 KB synchronization, fan-out 1.
 
-use cord_bench::sweep::{run_recorded, Job};
 use cord_bench::{print_table, run_micro, Fabric};
 use cord_proto::ProtocolKind;
+use cord_sim::par::run_parallel;
 use cord_workloads::MicroBench;
 
 const SCHEMES: [ProtocolKind; 3] = [ProtocolKind::Cord, ProtocolKind::Mp, ProtocolKind::So];
 
-fn sweep(name: &str, title: &str, points: &[(String, MicroBench)]) {
-    let jobs: Vec<Job<_>> = Fabric::BOTH
+fn sweep(title: &str, points: &[(String, MicroBench)]) {
+    let runs: Vec<_> = Fabric::BOTH
         .iter()
         .flat_map(|&fabric| {
-            points.iter().flat_map(move |(label, mb)| {
-                SCHEMES.iter().map(move |&kind| -> Job<_> {
-                    (
-                        format!("{}/{label}/{kind:?}", fabric.label()),
-                        Box::new(move || run_micro(mb, kind, fabric)),
-                    )
-                })
-            })
+            points
+                .iter()
+                .flat_map(move |(_, mb)| SCHEMES.iter().map(move |&kind| (fabric, mb, kind)))
         })
         .collect();
-    let mut results = run_recorded(name, jobs, |r| r.completion().as_ns_f64()).into_iter();
+    let mut results =
+        run_parallel(&runs, |&(fabric, mb, kind)| run_micro(mb, kind, fabric)).into_iter();
 
     for fabric in Fabric::BOTH {
         let mut rows = Vec::new();
@@ -61,7 +57,7 @@ fn main() {
         .into_iter()
         .map(|g| (format!("{g}B"), MicroBench::new(g, 4096, 1).with_iters(32)))
         .collect();
-    sweep("fig8-store", "store granularity", &store_points);
+    sweep("store granularity", &store_points);
 
     // Synchronization granularity sweep: 64 B – 2 MB (store 64 B, fanout 1).
     let sync_points: Vec<(String, MicroBench)> = [
@@ -84,7 +80,7 @@ fn main() {
         (label, MicroBench::new(64, s, 1).with_iters(iters))
     })
     .collect();
-    sweep("fig8-sync", "synchronization granularity", &sync_points);
+    sweep("synchronization granularity", &sync_points);
 
     // Communication fan-out sweep: 1 – 7 PUs (store 64 B, sync 4 KB).
     let fanout_points: Vec<(String, MicroBench)> = [1u32, 3, 7]
@@ -96,5 +92,5 @@ fn main() {
             )
         })
         .collect();
-    sweep("fig8-fanout", "communication fanout", &fanout_points);
+    sweep("communication fanout", &fanout_points);
 }

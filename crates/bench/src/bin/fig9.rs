@@ -4,30 +4,26 @@
 //! latency sweeps 100–400 ns, under three application-parameter families
 //! (store granularity, synchronization granularity, communication fan-out).
 
-use cord_bench::sweep::{run_recorded, Job};
 use cord_bench::{print_table, run_micro_latency};
 use cord_proto::ProtocolKind;
+use cord_sim::par::run_parallel;
 use cord_workloads::MicroBench;
 
 const LATENCIES_NS: [u64; 4] = [100, 200, 300, 400];
 
-fn sweep(name: &str, title: &str, variants: &[(String, MicroBench)]) {
-    let jobs: Vec<Job<_>> = variants
+fn sweep(title: &str, variants: &[(String, MicroBench)]) {
+    let runs: Vec<_> = variants
         .iter()
-        .flat_map(|(label, mb)| {
+        .flat_map(|(_, mb)| {
             LATENCIES_NS.iter().flat_map(move |&lat| {
                 [ProtocolKind::Cord, ProtocolKind::So]
                     .into_iter()
-                    .map(move |kind| -> Job<_> {
-                        (
-                            format!("{label}/{lat}ns/{kind:?}"),
-                            Box::new(move || run_micro_latency(mb, kind, lat)),
-                        )
-                    })
+                    .map(move |kind| (mb, kind, lat))
             })
         })
         .collect();
-    let mut results = run_recorded(name, jobs, |r| r.completion().as_ns_f64()).into_iter();
+    let mut results =
+        run_parallel(&runs, |&(mb, kind, lat)| run_micro_latency(mb, kind, lat)).into_iter();
 
     let mut rows = Vec::new();
     for (label, _) in variants {
@@ -69,7 +65,7 @@ fn main() {
             )
         })
         .collect();
-    sweep("fig9-store", "store granularity", &stores);
+    sweep("store granularity", &stores);
 
     // Sync granularity variants (store 64 B, fanout 1).
     let syncs: Vec<(String, MicroBench)> = [(64u64, 64u32), (4 << 10, 32), (256 << 10, 8)]
@@ -81,7 +77,7 @@ fn main() {
             )
         })
         .collect();
-    sweep("fig9-sync", "synchronization granularity", &syncs);
+    sweep("synchronization granularity", &syncs);
 
     // Fan-out variants (store 64 B, sync 4 KB).
     let fans: Vec<(String, MicroBench)> = [1u32, 3, 7]
@@ -93,5 +89,5 @@ fn main() {
             )
         })
         .collect();
-    sweep("fig9-fanout", "communication fanout", &fans);
+    sweep("communication fanout", &fans);
 }

@@ -13,17 +13,23 @@
 //!   directory are never read, so a clean and a used checkout record the
 //!   same numbers. It then runs an energy-scheduled mutate/generate loop
 //!   where novel trace-coverage admits scenarios back into the corpus. The
-//!   corpus directory is rewritten (greedily minimized) on exit, new
-//!   counterexamples are shrunk and written under `--out`, and the
-//!   coverage record — per-engine edge counts, edges-over-iterations, and
-//!   the guided-vs-blind comparison at equal iteration count — lands in
-//!   `results/BENCH_fuzz.json` under the `fuzz-serve` key. All recorded
-//!   numbers are simulated quantities: the record is byte-identical for a
-//!   given `(seed, iterations)` on any host at any worker count.
+//!   corpus directory is rewritten (greedily minimized) on exit, and new
+//!   counterexamples are shrunk and written under `--out`. The coverage
+//!   counts — the committed corpus' edges, per-engine edge counts,
+//!   edges-over-iterations, and the guided-vs-blind comparison at equal
+//!   iteration count — are checked against an exact record.
 //! * **Check** (`--check-coverage`): replays the committed corpus, unions
-//!   its coverage, and fails if the distinct-edge count shrank below the
-//!   `cov/corpus` value recorded in `BENCH_fuzz.json` — the CI guard
-//!   against silently losing fault-recovery coverage.
+//!   its coverage, and fails unless the distinct-edge count equals the
+//!   `cov/corpus` value of the quick serve record — the CI guard against
+//!   silently losing (or gaining unrecorded) fault-recovery coverage.
+//!
+//! The campaign and serve modes check their counts against the exact
+//! records `results/records/fuzz{,-serve}{-quick,}.txt`
+//! ([`cord_bench::gate`]) when run at their default seed, size and event
+//! cap (serve also needs all its iterations done and no `--corpus`). All
+//! recorded numbers are simulated quantities, identical on any host at any
+//! worker count. `CORD_UPDATE_GOLDEN=1` re-records them, and the quick serve
+//! re-record also rewrites the union map `results/fuzz-coverage.txt`.
 //!
 //! ```text
 //! fuzz [--quick] [--seed N] [--count N] [--max-events N] [--no-model]
@@ -41,13 +47,15 @@
 //! progress line on stderr) — and exits non-zero on any `expect` mismatch.
 
 use cord::RunConfig;
-use cord_bench::print_table;
-use cord_bench::sweep::{json_path, Recorder};
+use cord_bench::{gate, print_table};
 use cord_fuzz::{
     blind_union, narrate_rc_violation, replay_union, run_campaign, run_guided, run_scenario,
     CampaignConfig, GuidedConfig, Verdict,
 };
 use cord_sim::obs;
+
+/// The default per-scenario event cap.
+const MAX_EVENTS: u64 = 2_000_000;
 
 struct Args {
     quick: bool,
@@ -66,6 +74,14 @@ struct Args {
     check_coverage: bool,
 }
 
+impl Args {
+    /// Seed, event cap and oracles at their defaults: the runs the exact
+    /// records describe.
+    fn at_defaults(&self) -> bool {
+        self.seed == 1 && self.max_events == MAX_EVENTS && self.model
+    }
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage: fuzz [--quick] [--seed N] [--count N] [--max-events N] \
@@ -82,7 +98,7 @@ fn parse_args() -> Args {
         seed: 1,
         count: None,
         iters: None,
-        max_events: 2_000_000,
+        max_events: MAX_EVENTS,
         max_secs: None,
         model: true,
         out: "results/fuzz-repros".into(),
@@ -245,69 +261,42 @@ fn replay_dir(dir: &std::path::Path) -> i32 {
     }
 }
 
-/// The campaign's benchmark record: `CORD_BENCH_JSON` when set, else
-/// `results/BENCH_fuzz.json`.
-fn record_path() -> std::path::PathBuf {
-    json_path("results/BENCH_fuzz.json")
-}
-
-/// Scrapes the recorded `cov/corpus` distinct-edge count out of the
-/// `fuzz-serve` entry in the benchmark record, if present.
+/// The recorded `cov/corpus` distinct-edge count of the quick serve
+/// record, if present.
 fn recorded_corpus_edges() -> Option<u64> {
-    let text = std::fs::read_to_string(record_path()).ok()?;
-    let entry = text
-        .lines()
-        .find(|l| l.contains("\"key\":\"fuzz-serve\""))?;
-    let at = entry.find("\"label\":\"cov/corpus\"")?;
-    let rest = &entry[at..];
-    let sim = rest.find("\"sim_ns\":")? + "\"sim_ns\":".len();
-    let digits: String = rest[sim..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    digits.parse::<f64>().ok().map(|v| v as u64)
+    let text = std::fs::read_to_string(gate::path("fuzz-serve-quick")).ok()?;
+    let line = text.lines().find_map(|l| l.strip_prefix("cov/corpus "))?;
+    line.strip_prefix("edges=")?.parse().ok()
 }
 
 /// `--check-coverage`: recompute the committed corpus' coverage union and
-/// compare against the recorded baseline. Returns the exit code.
+/// compare it exactly with the recorded count. Returns the exit code.
 fn check_coverage() -> i32 {
     let seeds = committed_corpus();
     if seeds.is_empty() {
         eprintln!("coverage check needs the committed corpus (tests/repros)");
         return 2;
     }
-    let union = replay_union(&seeds, None);
-    let current = union.distinct() as u64;
+    let current = replay_union(&seeds, None).distinct() as u64;
     let Some(recorded) = recorded_corpus_edges() else {
         eprintln!(
-            "no cov/corpus baseline under key \"fuzz-serve\" in {} — \
-             run `fuzz --serve --quick` to record one",
-            record_path().display()
+            "no cov/corpus line in {} — record one with \
+             `CORD_UPDATE_GOLDEN=1 fuzz --serve --quick`",
+            gate::path("fuzz-serve-quick")
         );
         return 2;
     };
-    println!(
-        "committed-corpus coverage: {current} distinct edge(s) (recorded baseline {recorded})"
-    );
-    match current.cmp(&recorded) {
-        std::cmp::Ordering::Less => {
-            eprintln!(
-                "COVERAGE REGRESSION: the committed corpus now exercises {current} \
-                 distinct edges, down from {recorded}; a protocol/trace change lost \
-                 fault-recovery coverage (or the corpus shrank). If intentional, \
-                 re-record with `fuzz --serve --quick`."
-            );
-            1
-        }
-        std::cmp::Ordering::Greater => {
-            println!(
-                "note: coverage grew past the baseline — refresh it with \
-                 `fuzz --serve --quick` to tighten the check"
-            );
-            0
-        }
-        std::cmp::Ordering::Equal => 0,
+    println!("committed-corpus coverage: {current} distinct edge(s) (recorded {recorded})");
+    if current == recorded {
+        return 0;
     }
+    eprintln!(
+        "COVERAGE CHANGED: the committed corpus now exercises {current} distinct \
+         edges, recorded {recorded}. A drop means a protocol/trace change lost \
+         fault-recovery coverage (or the corpus shrank); if the change is \
+         intended, re-record with `CORD_UPDATE_GOLDEN=1 fuzz --serve --quick`."
+    );
+    1
 }
 
 /// `--serve`: the coverage-guided daemon loop. Returns the exit code.
@@ -341,11 +330,6 @@ fn serve(args: &Args) -> i32 {
         }
     }
 
-    // The committed corpus' own coverage union is the `--check-coverage`
-    // baseline; compute it from the committed files only.
-    let corpus_cov = replay_union(&committed, None);
-
-    let t0 = std::time::Instant::now();
     std::panic::set_hook(Box::new(|_| {}));
     let guided = run_guided(&cfg, &seeds, deadline);
     // The blind baseline at the iteration count actually completed, so a
@@ -355,7 +339,6 @@ fn serve(args: &Args) -> i32 {
         ..cfg.clone()
     });
     let _ = std::panic::take_hook();
-    let wall = t0.elapsed().as_secs_f64();
 
     // Maintain the on-disk corpus: greedy-minimize, then rewrite.
     let full = guided.corpus.entries.len();
@@ -388,67 +371,8 @@ fn serve(args: &Args) -> i32 {
         }
     }
 
-    // The union map as a diffable text artifact (CI uploads it on failure).
-    let cov_path = "results/fuzz-coverage.txt";
-    if std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write(cov_path, guided.corpus.union.render()))
-        .is_err()
-    {
-        eprintln!("warning: cannot write {cov_path}");
-    }
-
-    // Benchmark record: simulated/derived quantities only.
     let guided_edges = guided.corpus.union.distinct() as u64;
     let blind_edges = blind.distinct() as u64;
-    let mut rec = Recorder::new_deterministic("fuzz-serve").at_path(record_path());
-    rec.record_with_metrics(
-        "cov/corpus",
-        0.0,
-        corpus_cov.distinct() as f64,
-        Some(corpus_cov.summary_json()),
-    );
-    rec.record_with_metrics(
-        "cov/guided",
-        0.0,
-        guided_edges as f64,
-        Some(guided.corpus.union.summary_json()),
-    );
-    rec.record_with_metrics(
-        "cov/blind",
-        0.0,
-        blind_edges as f64,
-        Some(blind.summary_json()),
-    );
-    for (engine, map) in &guided.per_engine {
-        rec.record_with_metrics(
-            &format!("cov/engine/{engine}"),
-            0.0,
-            map.distinct() as f64,
-            Some(map.summary_json()),
-        );
-    }
-    for (it, edges) in &guided.edges_over_time {
-        rec.record(&format!("edges/i{it:05}"), 0.0, *edges as f64);
-    }
-    rec.record_with_metrics(
-        "serve",
-        0.0,
-        0.0,
-        Some(format!(
-            "{{\"seed\":{},\"iterations\":{},\"mutated\":{},\"blind\":{},\
-             \"corpus\":{},\"minimized\":{},\"guided_edges\":{guided_edges},\
-             \"blind_edges\":{blind_edges},\"failures\":{}}}",
-            cfg.seed,
-            guided.iterations,
-            guided.mutated,
-            guided.blind,
-            full,
-            pruned.entries.len(),
-            guided.failures.len()
-        )),
-    );
-    rec.finish();
-
     let rows: Vec<Vec<String>> = guided
         .per_engine
         .iter()
@@ -470,7 +394,7 @@ fn serve(args: &Args) -> i32 {
     );
     println!(
         "coverage: guided {guided_edges} distinct edge(s) vs blind {blind_edges} \
-         at {} iteration(s) ({wall:.1}s wall)",
+         at {} iteration(s)",
         guided.iterations
     );
 
@@ -489,7 +413,66 @@ fn serve(args: &Args) -> i32 {
         );
         code = 1;
     }
-    code
+    if code != 0 {
+        return code;
+    }
+
+    // Exact record of the default-configured serve: simulated and derived
+    // counts only.
+    if !args.at_defaults() || args.iters.is_some() || args.corpus_given {
+        return 0;
+    }
+    if guided.iterations < iters {
+        println!(
+            "\n--max-secs ended the run after {} of {iters} iteration(s); \
+             the record holds complete runs only, so there is nothing to compare",
+            guided.iterations
+        );
+        return 0;
+    }
+    // The committed corpus' own coverage union is the `--check-coverage`
+    // count; compute it from the committed files only.
+    let corpus_cov = replay_union(&committed, None);
+    let mut record = vec![
+        format!("cov/corpus edges={}", corpus_cov.distinct()),
+        format!("cov/guided edges={guided_edges}"),
+        format!("cov/blind edges={blind_edges}"),
+        format!(
+            "serve seed={} iterations={} mutated={} blind={} corpus={full} minimized={}",
+            cfg.seed,
+            guided.iterations,
+            guided.mutated,
+            guided.blind,
+            pruned.entries.len()
+        ),
+    ];
+    record.extend(
+        guided
+            .per_engine
+            .iter()
+            .map(|(engine, map)| format!("cov/engine/{engine} edges={}", map.distinct())),
+    );
+    record.extend(
+        guided
+            .edges_over_time
+            .iter()
+            .map(|(it, edges)| format!("edges/i{it:05} edges={edges}")),
+    );
+    if args.quick && gate::updating() {
+        // The union map as a diffable text artifact.
+        let cov_path = "results/fuzz-coverage.txt";
+        std::fs::write(cov_path, guided.corpus.union.render())
+            .unwrap_or_else(|e| panic!("cannot write {cov_path}: {e}"));
+    }
+    gate::enforce(
+        if args.quick {
+            "fuzz-serve-quick"
+        } else {
+            "fuzz-serve"
+        },
+        record,
+    );
+    0
 }
 
 fn main() {
@@ -530,19 +513,8 @@ fn main() {
         model_check: args.model,
         ..CampaignConfig::default()
     };
-    let t0 = std::time::Instant::now();
     let campaign = run_campaign(&cfg);
-    let wall = t0.elapsed().as_secs_f64();
     let _ = std::panic::take_hook();
-
-    // Benchmark record: simulated quantities only, so the file is
-    // byte-identical for a given (seed, count) at any worker count.
-    let mut rec = Recorder::new_deterministic("fuzz").at_path(record_path());
-    for o in &campaign.outcomes {
-        rec.record(&o.label, 0.0, o.report.sim_ns);
-    }
-    rec.record_with_metrics("campaign", 0.0, 0.0, Some(campaign.stats_json(&cfg)));
-    rec.finish();
 
     let mut classes = std::collections::BTreeMap::<&str, u64>::new();
     for o in &campaign.outcomes {
@@ -563,9 +535,24 @@ fn main() {
 
     if campaign.failures.is_empty() {
         println!(
-            "\nall {} scenarios passed every oracle ({wall:.1}s wall)",
+            "\nall {} scenarios passed every oracle",
             campaign.outcomes.len()
         );
+        // Exact record of the default-configured campaign: each scenario's
+        // verdict and simulated time.
+        if args.at_defaults() && args.count.is_none() {
+            let mut record: Vec<String> = campaign
+                .outcomes
+                .iter()
+                .map(|o| format!("{} sim_ns={:.1}", o.label, o.report.sim_ns))
+                .collect();
+            record.push(format!(
+                "campaign seed={} scenarios={}",
+                cfg.seed,
+                campaign.outcomes.len()
+            ));
+            gate::enforce(if args.quick { "fuzz-quick" } else { "fuzz" }, record);
+        }
         return;
     }
 
@@ -591,8 +578,7 @@ fn main() {
         println!("  shrunk:   {}", f.shrunk_verdict);
     }
     eprintln!(
-        "\n{} of {} scenario(s) failed ({wall:.1}s wall); replay with \
-         `fuzz --replay <file>`",
+        "\n{} of {} scenario(s) failed; replay with `fuzz --replay <file>`",
         campaign.failures.len(),
         campaign.outcomes.len()
     );

@@ -4,20 +4,17 @@
 //! stress configurations), source ordering, mixed CORD/SO, and message
 //! passing, then prints the campaign totals — including the MP violations
 //! the paper's §3.2 predicts. Placements within each shape are explored in
-//! parallel (`CORD_THREADS`); each (system, shape) campaign is recorded into
-//! `BENCH_sweeps.json`.
+//! parallel (`CORD_THREADS`).
 //!
-//! A final scaling phase re-runs the CORD suite through [`explore_with`]
-//! serially and at `min(8, host width)` shards, with symmetry reduction on
-//! and off, and records states/sec, peak frontier, level count, and group
-//! order per entry into `results/BENCH_check.json` (keys `check#t1` /
-//! `check#t<N>`), then prints the parallel speedup and symmetry reduction
-//! factor.
+//! A final phase re-runs the CORD suite and the scaling fixtures through
+//! [`explore_with`] on one thread, with symmetry reduction on and off, and
+//! checks each entry's states, peak frontier, level count and symmetry
+//! group order against the exact record `results/records/litmus.txt`
+//! ([`cord_bench::gate`]; `CORD_UPDATE_GOLDEN=1` re-records). The sharded
+//! explorer's thread-count independence is pinned by the checker's own
+//! tests, and its wall time by the benchmark package's `check` workload.
 
-use std::time::Instant;
-
-use cord_bench::print_table;
-use cord_bench::sweep::Recorder;
+use cord_bench::{gate, print_table};
 use cord_sim::obs::Progress;
 
 use cord_check::{
@@ -28,56 +25,37 @@ use cord_check::{
 
 const CAP: usize = 2_000_000;
 
-fn explore_recorded(
-    rec: &mut Recorder,
-    prog: &Progress,
-    label: &str,
-    cfg: &CheckConfig,
-    lit: &Litmus,
-) -> Vec<(Vec<u8>, Report)> {
-    let t0 = Instant::now();
+fn explore_counted(prog: &Progress, cfg: &CheckConfig, lit: &Litmus) -> Vec<(Vec<u8>, Report)> {
     let out = explore_all_placements(cfg, lit, CAP);
-    rec.record(label, t0.elapsed().as_secs_f64() * 1e3, 0.0);
     prog.inc(1);
     out
 }
 
-/// Runs every campaign entry through [`explore_with`] at fixed `opts`,
-/// recording per-entry wall-clock plus the deterministic search-shape
-/// counters (and derived states/sec) under `"<tag>/<entry>"`. Returns the
-/// pass's total wall-clock in ms.
-fn check_scaling_pass(
-    rec: &mut Recorder,
+/// Runs every campaign entry through [`explore_with`] at fixed `opts` and
+/// returns one record line per entry, `<tag>/<entry>` followed by the
+/// deterministic search-shape counters.
+fn check_pass(
     entries: &[(String, CheckConfig, Litmus, Vec<u8>)],
     opts: ExploreOpts,
     tag: &str,
-) -> f64 {
-    let mut total_ms = 0.0;
-    for (label, cfg, lit, placement) in entries {
-        let t0 = Instant::now();
-        let (report, stats) = explore_with(cfg, lit, placement, CAP, opts);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        total_ms += wall_ms;
-        let states_per_sec = report.states as f64 / (wall_ms / 1e3).max(1e-9);
-        // Per-level frontier sizes: the deterministic search-shape series
-        // (same role as the simulator's CORD_OBS time series).
-        let frontier = stats
-            .frontier
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(",");
-        let metrics = format!(
-            "{{\"states\":{},\"peak_frontier\":{},\"levels\":{},\"sym_order\":{},\"states_per_sec\":{:.0},\"frontier\":[{}]}}",
-            report.states, stats.peak_frontier, stats.levels, stats.symmetry_order, states_per_sec, frontier
-        );
-        rec.record_with_metrics(&format!("{tag}/{label}"), wall_ms, 0.0, Some(metrics));
-    }
-    total_ms
+) -> Vec<String> {
+    entries
+        .iter()
+        .map(|(label, cfg, lit, placement)| {
+            let (report, stats) = explore_with(cfg, lit, placement, CAP, opts);
+            format!(
+                "{tag}/{} states={} peak_frontier={} levels={} sym_order={}",
+                label.replace(' ', ""),
+                report.states,
+                stats.peak_frontier,
+                stats.levels,
+                stats.symmetry_order
+            )
+        })
+        .collect()
 }
 
 fn main() {
-    let mut rec = Recorder::new("litmus");
     // One progress unit per (system, shape) exploration: every stress
     // config, SO, mixed, and MP over the classic suite, plus the weak suite.
     let units = (stress_configs().len() + 3) * classic_suite().len() + weak_suite().len();
@@ -96,8 +74,7 @@ fn main() {
         let mut inconclusive = 0;
         for lit in classic_suite() {
             let cfg = mk(lit.thread_count(), 3);
-            let label = format!("CORD[{cfg_name}]/{}", lit.name);
-            for (_, report) in explore_recorded(&mut rec, &prog, &label, &cfg, &lit) {
+            for (_, report) in explore_counted(&prog, &cfg, &lit) {
                 checks += 1;
                 states += report.states;
                 match report.verdict(&lit) {
@@ -143,8 +120,7 @@ fn main() {
                     ..CheckConfig::cord(n, 3)
                 }
             };
-            let label = format!("{name}/{}", lit.name);
-            for (_, report) in explore_recorded(&mut rec, &prog, &label, &cfg, &lit) {
+            for (_, report) in explore_counted(&prog, &cfg, &lit) {
                 checks += 1;
                 states += report.states;
                 match report.verdict(&lit) {
@@ -172,8 +148,7 @@ fn main() {
     for lit in classic_suite() {
         let mut bad = false;
         let cfg = CheckConfig::mp(lit.thread_count(), 3);
-        let label = format!("MP/{}", lit.name);
-        for (_, report) in explore_recorded(&mut rec, &prog, &label, &cfg, &lit) {
+        for (_, report) in explore_counted(&prog, &cfg, &lit) {
             mp_checks += 1;
             bad |= !report.violations(&lit).is_empty();
         }
@@ -215,8 +190,7 @@ fn main() {
     for (lit, must_see) in weak_suite() {
         let mut seen = false;
         let cfg = CheckConfig::cord(lit.thread_count(), 3);
-        let label = format!("weak/{}", lit.name);
-        for (_, report) in explore_recorded(&mut rec, &prog, &label, &cfg, &lit) {
+        for (_, report) in explore_counted(&prog, &cfg, &lit) {
             seen |= report.outcomes.iter().any(|flat| {
                 let split = flat.len() - lit.vars as usize;
                 let (reg_flat, mem) = flat.split_at(split);
@@ -263,15 +237,9 @@ fn main() {
             n.outcome
         );
     }
-    rec.finish();
 
-    // Checker scaling phase: the CORD suite plus the heavyweight
-    // scaling fixtures through the sharded explorer, serial vs.
-    // min(8, host width), symmetry on vs. off. Entries and all
-    // search-shape counters are deterministic; only the wall-clocks (and
-    // the states/sec derived from them) vary by host.
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let par_t = host.min(8);
+    // Exact record: the CORD suite plus the heavyweight scaling fixtures
+    // through the explorer on one thread, symmetry on and off.
     let mut entries = campaign_entries();
     entries.extend(scaling_suite());
     let sym = ExploreOpts {
@@ -283,55 +251,7 @@ fn main() {
         symmetry: false,
         ..sym
     };
-
-    let mut rec1 = Recorder::new("check")
-        .with_threads(1)
-        .at_path("results/BENCH_check.json");
-    let serial_sym_ms = check_scaling_pass(&mut rec1, &entries, sym, "sym");
-    let serial_raw_ms = check_scaling_pass(&mut rec1, &entries, raw, "raw");
-    rec1.finish();
-
-    eprintln!(
-        "\nChecker scaling ({} entries, results/BENCH_check.json): \
-         t1 sym {serial_sym_ms:.0} ms, raw {serial_raw_ms:.0} ms; \
-         symmetry reduction: {:.2}x",
-        entries.len(),
-        serial_raw_ms / serial_sym_ms.max(1e-9)
-    );
-
-    // The parallel pass only means something on a multicore host — and at
-    // par_t == 1 its record key would collide with (and overwrite) the
-    // serial entry above.
-    if par_t > 1 {
-        let mut recn = Recorder::new("check")
-            .with_threads(par_t)
-            .at_path("results/BENCH_check.json");
-        let par_sym_ms = check_scaling_pass(
-            &mut recn,
-            &entries,
-            ExploreOpts {
-                threads: par_t,
-                ..sym
-            },
-            "sym",
-        );
-        let par_raw_ms = check_scaling_pass(
-            &mut recn,
-            &entries,
-            ExploreOpts {
-                threads: par_t,
-                ..raw
-            },
-            "raw",
-        );
-        recn.finish();
-        eprintln!(
-            "t{par_t}: sym {par_sym_ms:.0} ms, raw {par_raw_ms:.0} ms; \
-             parallel speedup sym {:.2}x, raw {:.2}x",
-            serial_sym_ms / par_sym_ms.max(1e-9),
-            serial_raw_ms / par_raw_ms.max(1e-9)
-        );
-    } else {
-        eprintln!("single-CPU host: skipping the t>1 scaling pass");
-    }
+    let mut record = check_pass(&entries, sym, "sym");
+    record.extend(check_pass(&entries, raw, "raw"));
+    gate::enforce("litmus", record);
 }

@@ -1,11 +1,13 @@
 //! Scale-out bench: the causal-KV workload tier at 8 → 512 PUs over
-//! data-driven fabrics, with a throughput regression gate.
+//! data-driven fabrics, plus an 8-host engine cell, checked against an
+//! exact record.
 //!
-//! Each cell runs [`cord_workloads::KvSpec`] — COPS-style client sessions
-//! of Relaxed puts closed by a Release — on a host count and fabric shape
-//! from the sweep (flat switch, CXL pods, fat-tree, dragonfly), recording:
+//! Each KV cell runs [`cord_workloads::KvSpec`] — COPS-style client
+//! sessions of Relaxed puts closed by a Release — on a host count and
+//! fabric shape from the sweep (flat switch, CXL pods, fat-tree,
+//! dragonfly), recording:
 //!
-//! * **events/sec** (engine throughput) and simulated makespan;
+//! * **events** (the engine's work) and simulated makespan;
 //! * **per-PU table occupancy peaks** — processor-side CNT (store-counter)
 //!   bytes and directory-side lookup-table/buffer bytes, the Fig. 11
 //!   storage axes extended past the paper's 8 PUs;
@@ -13,32 +15,32 @@
 //!   accounting: total ReqNotify/Notify messages, how many host pairs
 //!   carried them, and the hottest pair.
 //!
-//! A separate identity block reruns one 64-host cell through the sharded
-//! engine at 1/2/4/8 workers: every worker count must produce a
-//! bit-identical run fingerprint, and the monolithic engine must agree on
-//! the run's semantics (final registers — its event accounting legitimately
-//! differs, see `tests/sharded.rs`).
+//! Two blocks check the engines against each other. The identity block
+//! reruns one 64-host cell through the sharded engine at 1/2/4/8 workers:
+//! every worker count must produce a bit-identical run fingerprint, and
+//! the monolithic engine must agree on the run's semantics (final
+//! registers — its event accounting legitimately differs, see
+//! `tests/sharded.rs`). The bulk cell runs 8 hosts of all-to-all bulk
+//! stores through the monolithic engine and the sharded engine at 1/2/4/8
+//! workers, whose fingerprints must all be equal.
 //!
-//! Results go to `results/BENCH_scale.json` (`--out PATH` overrides) as a
-//! two-record array (one `--quick` line for CI, one full line for local
-//! runs). Unless `--no-compare` is given, events/sec are compared against
-//! the committed baseline (`CORD_SCALE_BASELINE` overrides the path) and the
-//! run fails on a regression larger than [`cord_bench::gate::TOLERANCE`]
-//! (20%). Baselines recorded on a different core count are warned about and
-//! skipped, never gated.
+//! Every count lands in the exact record `results/records/scale-quick.txt`
+//! (`--quick`, the CI sweep) or `results/records/scale.txt` (full), checked
+//! by [`cord_bench::gate`]: any difference exits 1 and names the cell;
+//! `CORD_UPDATE_GOLDEN=1` re-records. Wall time is the benchmark package's
+//! business, not this bin's.
 //!
-//! `CORD_SCALE_CELLS=<hosts>[,<hosts>…]` restricts the sweep to the named
-//! host counts (e.g. for profiling one cell with `CORD_PROFILE=1`); a
-//! filtered sweep skips the identity block, the record write, and the gate.
+//! `CORD_SCALE_CELLS=<hosts>[,<hosts>…]` restricts the KV sweep to the
+//! named host counts (e.g. for profiling one cell with `CORD_PROFILE=1`); a
+//! filtered sweep runs neither the identity block, nor the bulk cell, nor
+//! the record check.
 //!
-//! Usage: `scale [--quick] [--out PATH] [--no-compare]`
+//! Usage: `scale [--quick]`
 
-use std::time::Instant;
-
-use cord::{RunConfig, System};
+use cord::{RunConfig, RunResult, System};
 use cord_bench::{gate, print_table};
 use cord_noc::{Fabric, NocConfig};
-use cord_proto::{ConsistencyModel, ProtocolKind, SystemConfig};
+use cord_proto::{ConsistencyModel, Program, ProtocolKind, SystemConfig};
 use cord_sim::obs::Progress;
 use cord_workloads::KvSpec;
 
@@ -121,8 +123,8 @@ fn build_system(hosts: u32, fabric: &str, kv: &KvSpec) -> System {
 }
 
 /// FNV-1a over the observable run outcome; equality across engines and
-/// worker counts is the bit-identity proof recorded in the JSON.
-fn fingerprint(r: &cord::RunResult) -> u64 {
+/// worker counts is the bit-identity proof kept in the record.
+fn fingerprint(r: &RunResult) -> u64 {
     let mut stalls: Vec<_> = r.stalls.iter().map(|(c, t)| format!("{c:?}={t}")).collect();
     stalls.sort();
     let text = format!(
@@ -139,26 +141,20 @@ fn fingerprint(r: &cord::RunResult) -> u64 {
 
 struct CellRow {
     label: String,
-    hosts: u32,
-    fabric: String,
     sessions: u64,
     events: u64,
-    wall_ms: f64,
-    events_per_sec: f64,
-    makespan_ns: f64,
     proc_cnt_peak: u64,
     dir_lut_peak: u64,
     dir_buf_peak: u64,
     notify_msgs: u64,
     notify_pairs: u64,
-    notify_max_pair: u64,
+    /// The cell's exact record line.
+    record: String,
 }
 
 fn run_cell(cell: &Cell, kv: &KvSpec) -> CellRow {
     let mut sys = build_system(cell.hosts, cell.fabric, kv);
-    let start = Instant::now();
     let r = sys.try_run().expect("scale cell run");
-    let wall = start.elapsed().as_secs_f64();
     let flows = r.pair_flows.as_deref().unwrap_or(&[]);
     let notify_msgs: u64 = flows.iter().map(|(_, _, f)| f.notify_msgs).sum();
     let notify_pairs = flows.iter().filter(|(_, _, f)| f.notify_msgs > 0).count() as u64;
@@ -167,40 +163,51 @@ fn run_cell(cell: &Cell, kv: &KvSpec) -> CellRow {
         .map(|(_, _, f)| f.notify_msgs)
         .max()
         .unwrap_or(0);
+    let proc_cnt_peak = r
+        .proc_storages
+        .iter()
+        .map(|s| s.peak_cnt_bytes)
+        .max()
+        .unwrap_or(0);
+    let dir_lut_peak = r
+        .dir_storages
+        .iter()
+        .map(|s| s.peak_lut_bytes)
+        .max()
+        .unwrap_or(0);
+    let dir_buf_peak = r
+        .dir_storages
+        .iter()
+        .map(|s| s.peak_buf_bytes)
+        .max()
+        .unwrap_or(0);
+    let label = format!(
+        "kv/{}PU/{}",
+        cell.hosts,
+        cell.fabric.split(' ').next().unwrap()
+    );
+    let sessions = kv.total_sessions(cell.hosts);
+    let record = format!(
+        "{label} hosts={} sessions={sessions} events={} makespan_ps={} \
+         proc_cnt_peak={proc_cnt_peak} dir_lut_peak={dir_lut_peak} \
+         dir_buf_peak={dir_buf_peak} notify_msgs={notify_msgs} \
+         notify_pairs={notify_pairs} notify_max_pair={notify_max_pair} \
+         fabric=\"{}\"",
+        cell.hosts,
+        r.events,
+        r.makespan.as_ps(),
+        cell.fabric
+    );
     CellRow {
-        label: format!(
-            "kv/{}PU/{}",
-            cell.hosts,
-            cell.fabric.split(' ').next().unwrap()
-        ),
-        hosts: cell.hosts,
-        fabric: cell.fabric.to_string(),
-        sessions: kv.total_sessions(cell.hosts),
+        label,
+        sessions,
         events: r.events,
-        wall_ms: wall * 1e3,
-        events_per_sec: r.events as f64 / wall,
-        makespan_ns: r.makespan.as_ns_f64(),
-        proc_cnt_peak: r
-            .proc_storages
-            .iter()
-            .map(|s| s.peak_cnt_bytes)
-            .max()
-            .unwrap_or(0),
-        dir_lut_peak: r
-            .dir_storages
-            .iter()
-            .map(|s| s.peak_lut_bytes)
-            .max()
-            .unwrap_or(0),
-        dir_buf_peak: r
-            .dir_storages
-            .iter()
-            .map(|s| s.peak_buf_bytes)
-            .max()
-            .unwrap_or(0),
+        proc_cnt_peak,
+        dir_lut_peak,
+        dir_buf_peak,
         notify_msgs,
         notify_pairs,
-        notify_max_pair,
+        record,
     }
 }
 
@@ -212,7 +219,6 @@ fn print_sweep_table(title: &str, rows: &[CellRow]) {
                 r.label.clone(),
                 r.sessions.to_string(),
                 r.events.to_string(),
-                format!("{:.2}M", r.events_per_sec / 1e6),
                 r.proc_cnt_peak.to_string(),
                 format!("{}/{}", r.dir_lut_peak, r.dir_buf_peak),
                 format!("{} over {} pairs", r.notify_msgs, r.notify_pairs),
@@ -225,7 +231,6 @@ fn print_sweep_table(title: &str, rows: &[CellRow]) {
             "cell",
             "sessions",
             "events",
-            "events/sec",
             "proc CNT B",
             "dir lut/buf B",
             "notifications",
@@ -234,30 +239,45 @@ fn print_sweep_table(title: &str, rows: &[CellRow]) {
     );
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// All-to-all bulk-store workload on 8 hosts: every tile on every host
+/// streams 64 B Relaxed stores to a rotating remote host and publishes
+/// with a Release each iteration, so every partition of the sharded
+/// engine stays busy.
+fn bulk_system(iters: u32, workers: Option<usize>) -> System {
+    let cfg = SystemConfig::cxl(ProtocolKind::Cord, 8).with_model(ConsistencyModel::Rc);
+    let hosts = cfg.noc.hosts;
+    let tph = cfg.noc.tiles_per_host;
+    let mut programs = vec![Program::new(); cfg.total_tiles() as usize];
+    for host in 0..hosts {
+        for core in 0..tph {
+            let tile = (host * tph + core) as usize;
+            // Disjoint 8 KB region per source tile on each destination.
+            let slot = tile as u64 * 16384;
+            let mut b = Program::build();
+            for iter in 0..iters {
+                let dst = (host + 1 + (core + iter) % (hosts - 1)) % hosts;
+                let data = cfg.map.addr_on_host(dst, slot);
+                let flag = cfg.map.addr_on_host(dst, slot + 8192);
+                b = b
+                    .bulk_store(data, 8192, 64, iter as u64 + 1)
+                    .store_release(flag, iter as u64 + 1);
+            }
+            programs[tile] = b.finish();
+        }
+    }
+    let mut sys = System::new(cfg, programs);
+    sys.set_sim_threads(workers);
+    sys
 }
+
+const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 fn main() {
     RunConfig::from_env_or_exit().install();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let no_compare = args.iter().any(|a| a == "--no-compare");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "results/BENCH_scale.json".into());
-    // Read the committed baseline *before* this run overwrites it.
-    let baseline = gate::Baseline::load(
-        no_compare,
-        "CORD_SCALE_BASELINE",
-        "results/BENCH_scale.json",
-    );
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let quick = std::env::args().skip(1).any(|a| a == "--quick");
 
-    // CORD_SCALE_CELLS=128,512 → only those host counts, no record/gate
-    // (partial sweeps must never clobber or be compared to the full record).
+    // CORD_SCALE_CELLS=128,512 → only those host counts and no record
+    // check: a partial sweep must never be compared to the full record.
     let only: Option<Vec<u32>> = std::env::var("CORD_SCALE_CELLS")
         .ok()
         .map(|s| s.split(',').filter_map(|t| t.trim().parse().ok()).collect());
@@ -268,13 +288,9 @@ fn main() {
         .collect();
     let filtered = only.is_some();
     let kv = kv_spec(quick);
-    const IDENTITY_WORKERS: [usize; 4] = [1, 2, 4, 8];
-    let identity_runs = if filtered {
-        0
-    } else {
-        1 + IDENTITY_WORKERS.len()
-    };
-    let prog = Progress::new("scale", (cells.len() + identity_runs) as u64);
+    // Identity: one monolithic run plus one per worker count; bulk: the same.
+    let engine_runs = if filtered { 0 } else { 2 * (1 + WORKERS.len()) };
+    let prog = Progress::new("scale", (cells.len() + engine_runs) as u64);
 
     // -- Sweep -------------------------------------------------------------
     let mut rows = Vec::new();
@@ -284,13 +300,11 @@ fn main() {
     }
     if filtered {
         prog.finish(&format!("scale: {} filtered cell(s)", rows.len()));
-        print_sweep_table(
-            &format!("Causal-KV scale sweep, filtered ({cores} core(s))"),
-            &rows,
-        );
-        println!("\nCORD_SCALE_CELLS filter active: identity, record and gate skipped");
+        print_sweep_table("Causal-KV scale sweep, filtered", &rows);
+        println!("\nCORD_SCALE_CELLS filter active: no identity block, bulk cell or record check");
         return;
     }
+    let mut record: Vec<String> = rows.iter().map(|r| r.record.clone()).collect();
 
     // -- Sharded bit-identity at 64 hosts ----------------------------------
     // Always the quick KV spec: the point is engine identity, not volume.
@@ -310,7 +324,7 @@ fn main() {
         r.regs
     };
     let mut sharded_fp: Option<u64> = None;
-    for workers in IDENTITY_WORKERS {
+    for workers in WORKERS {
         let mut sys = build_system(idn_cell.hosts, idn_cell.fabric, &idn_kv);
         sys.set_sim_threads(Some(workers));
         let r = sys.try_run().expect("identity sharded run");
@@ -328,76 +342,48 @@ fn main() {
             ),
         }
     }
-    let mono = sharded_fp.expect("at least one identity run");
+    record.push(format!(
+        "identity/{}PU/fattree workers={} fingerprint={:016x}",
+        idn_cell.hosts,
+        WORKERS.map(|w| w.to_string()).join(","),
+        sharded_fp.expect("at least one identity run")
+    ));
+
+    // -- Bulk stores, monolithic vs sharded ---------------------------------
+    let iters = if quick { 4 } else { 12 };
+    let mut bulk = Vec::new();
+    for workers in std::iter::once(None).chain(WORKERS.map(Some)) {
+        let r = bulk_system(iters, workers)
+            .try_run()
+            .expect("bulk cell run");
+        prog.inc(1);
+        let engine = workers.map_or("monolithic".to_string(), |w| format!("sharded@{w}"));
+        bulk.push((engine, r.events, fingerprint(&r)));
+    }
+    for (engine, _, fp) in &bulk[2..] {
+        assert_eq!(*fp, bulk[1].2, "bulk {engine} diverged from sharded@1");
+    }
     prog.finish(&format!(
-        "scale: {} cell(s), identity ok at {}PU x {:?} workers",
+        "scale: {} cell(s), identity ok at {}PU x {WORKERS:?} workers, bulk ok",
         rows.len(),
         idn_cell.hosts,
-        IDENTITY_WORKERS
     ));
 
-    // -- Table -------------------------------------------------------------
-    print_sweep_table(&format!("Causal-KV scale sweep ({cores} core(s))"), &rows);
+    // -- Tables --------------------------------------------------------------
+    print_sweep_table("Causal-KV scale sweep", &rows);
+    let table: Vec<Vec<String>> = bulk
+        .iter()
+        .map(|(engine, events, fp)| vec![engine.clone(), events.to_string(), format!("{fp:016x}")])
+        .collect();
+    print_table(
+        &format!("8-host bulk stores, {iters} iteration(s) per tile"),
+        &["engine", "events", "fingerprint"],
+        &table,
+    );
+    record.extend(bulk.iter().map(|(engine, events, fp)| {
+        format!("bulk/{engine} events={events} fingerprint={fp:016x}")
+    }));
 
-    // -- JSON record -------------------------------------------------------
-    let mut entries: Vec<(String, f64)> = Vec::new();
-    let mut json = format!("{{\"bench\":\"scale\",\"quick\":{quick},\"cores\":{cores},\"cells\":[");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "{{\"label\":\"{}\",\"hosts\":{},\"fabric\":\"{}\",\"sessions\":{},\
-             \"events\":{},\"wall_ms\":{:.3},\"per_sec\":{:.0},\"makespan_ns\":{:.1},\
-             \"proc_cnt_peak\":{},\"dir_lut_peak\":{},\"dir_buf_peak\":{},\
-             \"notify_msgs\":{},\"notify_pairs\":{},\"notify_max_pair\":{}}}{}",
-            json_escape(&r.label),
-            r.hosts,
-            json_escape(&r.fabric),
-            r.sessions,
-            r.events,
-            r.wall_ms,
-            r.events_per_sec,
-            r.makespan_ns,
-            r.proc_cnt_peak,
-            r.dir_lut_peak,
-            r.dir_buf_peak,
-            r.notify_msgs,
-            r.notify_pairs,
-            r.notify_max_pair,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-        entries.push((r.label.clone(), r.events_per_sec));
-    }
-    let total_sessions: u64 = rows.iter().map(|r| r.sessions).sum();
-    json.push_str(&format!(
-        "],\"identity\":{{\"hosts\":{},\"workers\":{:?},\"fingerprint\":\"{:016x}\"}},\
-         \"total_sessions\":{}}}",
-        idn_cell.hosts, IDENTITY_WORKERS, mono, total_sessions
-    ));
-    // Preserve the other mode's record, keeping quick-then-full order.
-    let other_tag = format!("\"quick\":{}", !quick);
-    let other = std::fs::read_to_string(&out)
-        .ok()
-        .and_then(|old| {
-            old.lines()
-                .find(|l| l.contains(&other_tag))
-                .map(str::to_string)
-        })
-        .map(|l| l.trim_end_matches(',').to_string());
-    let records: Vec<String> = if quick {
-        [Some(json), other].into_iter().flatten().collect()
-    } else {
-        [other, Some(json)].into_iter().flatten().collect()
-    };
-    let file = format!("[\n{}\n]\n", records.join(",\n"));
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    std::fs::write(&out, &file).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
-    println!("\nrecord written to {out}");
-
-    // -- Regression gate ---------------------------------------------------
-    if let Some(base) = &baseline {
-        gate::enforce(base, quick, cores, &entries, |_| true);
-    }
+    // -- Exact record --------------------------------------------------------
+    gate::enforce(if quick { "scale-quick" } else { "scale" }, record);
 }

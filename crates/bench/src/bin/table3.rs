@@ -1,18 +1,13 @@
 //! Table 3: lookup-table sizes, area, power, and access energy (paper §5.4).
 //!
 //! Uses the calibrated 22 nm analytic SRAM model (`cord-power`, the CACTI
-//! 7.0 substitute) over the paper's provisioning. The analytic model is one
-//! (cheap) sweep job, so even this table lands in `BENCH_sweeps.json`.
+//! 7.0 substitute) over the paper's provisioning.
 
 use cord_bench::print_table;
-use cord_bench::sweep::{run_recorded, Job};
-use cord_power::{reference, table3_rows, Table3Row};
+use cord_power::{reference, table3_rows};
 
 fn main() {
-    let jobs: Vec<Job<Vec<Table3Row>>> = vec![("table3/analytic".into(), Box::new(table3_rows))];
-    let rows = run_recorded("table3", jobs, |_| 0.0)
-        .pop()
-        .expect("one job");
+    let rows = table3_rows();
     let mut out = Vec::new();
     for unit in ["Processor", "Directory"] {
         let total_area: f64 = rows

@@ -9,9 +9,9 @@
 
 use cord::{RunConfig, System};
 use cord_bench::print_table;
-use cord_bench::sweep::{run_recorded, Job};
 use cord_noc::{NocConfig, PodConfig};
 use cord_proto::{ProtocolKind, SystemConfig};
+use cord_sim::par::run_parallel;
 use cord_sim::Time;
 use cord_workloads::table2_apps;
 
@@ -30,11 +30,12 @@ fn run(kind: ProtocolKind, pods: bool, app: &cord_workloads::AppSpec) -> (f64, u
     (r.makespan.as_us_f64(), r.inter_bytes())
 }
 
-const POINTS: [(ProtocolKind, bool, &str); 4] = [
-    (ProtocolKind::Cord, false, "flat/CORD"),
-    (ProtocolKind::So, false, "flat/SO"),
-    (ProtocolKind::Cord, true, "pods/CORD"),
-    (ProtocolKind::So, true, "pods/SO"),
+/// (protocol, pods fabric) per app, in output order.
+const POINTS: [(ProtocolKind, bool); 4] = [
+    (ProtocolKind::Cord, false),
+    (ProtocolKind::So, false),
+    (ProtocolKind::Cord, true),
+    (ProtocolKind::So, true),
 ];
 
 fn main() {
@@ -43,18 +44,11 @@ fn main() {
         .into_iter()
         .filter(|a| a.name != "ATA")
         .collect();
-    let jobs: Vec<Job<_>> = apps
+    let runs: Vec<_> = apps
         .iter()
-        .flat_map(|app| {
-            POINTS.iter().map(move |&(kind, pods, tag)| -> Job<_> {
-                (
-                    format!("{}/{tag}", app.name),
-                    Box::new(move || run(kind, pods, app)),
-                )
-            })
-        })
+        .flat_map(|app| POINTS.iter().map(move |&(kind, pods)| (kind, pods, app)))
         .collect();
-    let mut results = run_recorded("topo", jobs, |&(us, _)| us * 1e3).into_iter();
+    let mut results = run_parallel(&runs, |&(kind, pods, app)| run(kind, pods, app)).into_iter();
 
     let mut rows = Vec::new();
     for app in &apps {

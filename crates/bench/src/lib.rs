@@ -2,18 +2,23 @@
 //!
 //! Each figure/table has a dedicated binary (`fig2`, `fig7`, …, `table3`,
 //! `litmus`) that runs the corresponding experiment on the simulator and
-//! prints the same rows/series the paper reports. This library holds the
-//! pieces they share: protocol/fabric selection, run helpers, the parallel
-//! [`sweep`] engine (worker-pool fan-out with deterministic input-order
-//! collection and `BENCH_sweeps.json` timing records), and plain-text table
-//! formatting.
+//! prints the same rows/series the paper reports. Each bin fans its
+//! independent runs out with [`cord_sim::par::run_parallel`], which returns
+//! them in input order, so the printed tables are identical at any
+//! `CORD_THREADS`. This library holds the pieces they share:
+//! protocol/fabric selection, run helpers, plain-text table formatting and
+//! the exact record [`gate`].
+//!
+//! One rule covers every number the bins produce: deterministic counts are
+//! committed under `results/` and checked exactly (`CORD_UPDATE_GOLDEN=1`
+//! re-records them); wall time is measured only by the benchmark package
+//! that `BENCHMARK.json` declares.
 //!
 //! Absolute numbers will differ from the paper's gem5 testbed; the
 //! *comparisons* (who wins, by roughly what factor, where crossovers fall)
 //! are the reproduction target — see EXPERIMENTS.md.
 
 pub mod gate;
-pub mod sweep;
 
 use cord::{RunResult, System};
 use cord_proto::{ConsistencyModel, ProtocolKind, SystemConfig};

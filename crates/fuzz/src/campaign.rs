@@ -45,7 +45,8 @@ impl Default for CampaignConfig {
 pub struct ScenarioOutcome {
     /// Scenario index within the campaign.
     pub index: u64,
-    /// `s<index>/<engine>/<verdict-class>`, the benchmark-record label.
+    /// `s<index>/<engine>/<verdict-class>`, the cell name in the exact
+    /// campaign record.
     pub label: String,
     /// Oracle verdict and simulated duration.
     pub report: RunReport,
@@ -100,7 +101,7 @@ impl Campaign {
         self.failures.iter().map(|f| f.stats.attempts).sum()
     }
 
-    /// Campaign counters as a JSON object for the benchmark record.
+    /// Campaign counters as one JSON object.
     pub fn stats_json(&self, cfg: &CampaignConfig) -> String {
         format!(
             "{{\"seed\":{},\"scenarios\":{},\"failures\":{},\"shrink_iterations\":{}}}",

@@ -91,7 +91,7 @@ pub struct GuidedCampaign {
 }
 
 impl GuidedCampaign {
-    /// Campaign counters as a JSON object for the benchmark record.
+    /// Campaign counters as one JSON object.
     pub fn stats_json(&self, cfg: &GuidedConfig) -> String {
         format!(
             "{{\"seed\":{},\"iterations\":{},\"mutated\":{},\"blind\":{},\
@@ -223,8 +223,8 @@ pub fn run_guided(
 
 /// The blind baseline at equal iteration count: the union coverage of
 /// `generate(seed, 0..iterations)` — exactly what the pre-guided fuzzer
-/// would have explored. Used for the guided-vs-blind comparison recorded
-/// in `BENCH_fuzz.json` (and checked by `fuzz --serve`).
+/// would have explored. Used for the guided-vs-blind comparison that
+/// `fuzz --serve` checks and records in `results/records/fuzz-serve*.txt`.
 pub fn blind_union(cfg: &GuidedConfig) -> CoverageMap {
     let workers = cfg.workers.unwrap_or_else(par::thread_count);
     let scenarios: Vec<Scenario> = (0..cfg.iterations)
@@ -252,8 +252,8 @@ pub fn blind_union(cfg: &GuidedConfig) -> CoverageMap {
 
 /// Union coverage of replaying a fixed repro set (no generation, no
 /// mutation): the coverage value of a corpus *as committed*. This is what
-/// `fuzz --check-coverage` recomputes and compares against the recorded
-/// baseline in `BENCH_fuzz.json`.
+/// `fuzz --check-coverage` recomputes and compares exactly with the
+/// `cov/corpus` line of `results/records/fuzz-serve-quick.txt`.
 pub fn replay_union(seeds: &[(String, Repro)], workers: Option<usize>) -> CoverageMap {
     let workers = workers.unwrap_or_else(par::thread_count);
     let prog = obs::Progress::new("fuzz-cov", seeds.len() as u64);

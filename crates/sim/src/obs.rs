@@ -25,7 +25,7 @@
 //!   explicitly non-deterministic and never enter run fingerprints.
 //!
 //! [`Progress`] is the shared live status line for campaign bins (`fuzz`,
-//! `chaos`, `litmus`, `despeed`): runs/sec, completion, ETA, flagged
+//! `chaos`, `litmus`, `scale`): runs/sec, completion, ETA, flagged
 //! count. It writes `\r`-rewritten lines to stderr only when stderr is a
 //! terminal (or `CORD_PROGRESS` is set truthy); `CORD_PROGRESS=0`
 //! silences it unconditionally.

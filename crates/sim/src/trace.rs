@@ -1461,7 +1461,7 @@ impl LatencySummary {
 }
 
 /// A cloneable summary of one run's metrics, carried on `RunResult` and
-/// appended to `results/BENCH_sweeps.json` by the sweep engine.
+/// printed (or written with `--metrics-out`) by the `trace` binary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// Total events observed.
