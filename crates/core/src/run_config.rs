@@ -72,7 +72,7 @@ impl RunConfig {
     /// Applies the installed config, if any, to a new system.
     pub(crate) fn apply_installed(sys: &mut System) {
         let Some(run) = INSTALLED.get() else { return };
-        sys.tracer = Tracer::from_config(&run.obs);
+        sys.lane.tracer = Tracer::from_config(&run.obs);
         sys.sim_threads = run.sim_threads;
         if let Some(fs) = &run.faults {
             sys.set_faults(fs.plan.clone(), fs.xport);

@@ -8,7 +8,7 @@
 //! execution time, per-class interconnect traffic, stall attribution, and
 //! peak lookup-table/buffer storage.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 use cord_mem::{Addr, Memory};
@@ -131,7 +131,7 @@ impl Event {
 }
 
 /// What travels the fabric: the payload of every send (see
-/// [`System::send_wire`]) and of a sharded run's [`Event::PortArrive`] —
+/// [`View::send_wire`]) and of a sharded run's [`Event::PortArrive`] —
 /// everything the destination needs to finish a delivery whose egress half
 /// was computed at the source.
 #[derive(Debug, Clone)]
@@ -225,17 +225,17 @@ pub(crate) struct CrossMsg {
     pub(crate) wire: Wire,
 }
 
-/// Sharded-run state carried by a partition's `System`: which host it owns
-/// and the per-destination outboxes flushed to the coordinator's mailboxes
-/// at each round barrier.
+/// Sharded-run state carried by a host's [`Lane`]: which host it owns and
+/// the per-destination outboxes flushed to the coordinator's mailboxes at
+/// each round barrier.
 pub(crate) struct Partition {
-    /// The host this partition simulates.
+    /// The host this lane simulates.
     pub(crate) host: u32,
     /// Outgoing cross-partition messages, keyed by destination host. Sparse:
     /// only destinations actually written this round hold an entry, so a
-    /// 512-host run never materializes O(hosts) empty lanes per partition
+    /// 512-host run never materializes O(hosts) empty vectors per lane
     /// (ordered so the flush visits destinations deterministically).
-    pub(crate) outbox: std::collections::BTreeMap<u32, Vec<CrossMsg>>,
+    pub(crate) outbox: BTreeMap<u32, Vec<CrossMsg>>,
 }
 
 /// Why a run could not complete (see [`System::try_run`]).
@@ -413,60 +413,84 @@ impl RunResult {
 /// let result = System::new(cfg, programs).run();
 /// assert_eq!(result.regs[8][0], 42, "consumer observed the data");
 /// ```
+///
+/// The system keeps every tile and the run settings once. Events run on a
+/// view: a block of tiles borrowed together with a lane (queue, NoC,
+/// transport, tracer). The monolithic engine has one view over every
+/// tile with the system's own lane; the sharded engine lends each host's
+/// block to a lane of its own, so a run of either engine never moves a
+/// tile out of the system.
 pub struct System {
     pub(crate) cfg: SystemConfig,
-    pub(crate) queue: EventQueue<Event>,
-    pub(crate) noc: Noc,
-    /// Per-core state in struct-of-arrays layout: the event loop's hottest
-    /// accesses (frontend step/wake, fingerprint walks, stall scans) touch
-    /// only `fes`, so splitting the engines out keeps those walks dense.
+    /// Per-core state in struct-of-arrays layout, numbered host-major: the
+    /// event loop's hottest accesses (frontend step/wake, fingerprint walks,
+    /// stall scans) touch only `fes`, so splitting the engines out keeps
+    /// those walks dense.
     pub(crate) fes: Vec<Frontend>,
     pub(crate) engines: Vec<AnyCore>,
     /// Per-directory state, split the same way.
     pub(crate) dir_engines: Vec<AnyDir>,
     pub(crate) mems: Vec<Memory>,
     pub(crate) max_events: u64,
-    /// Scratch buffers reused across events (the hot loop would otherwise
-    /// allocate one effect vector and one action vector per event).
-    scratch_fx: Vec<CoreEffect>,
-    scratch_acts: Vec<FeAction>,
-    scratch_dfx: Vec<DirEffect>,
-    /// The run's observer set, armed from the installed [`RunConfig`] or
-    /// programmatically ([`System::tracer_mut`]).
-    pub(crate) tracer: Tracer,
-    /// Reliable-transport shim, present only in fault-injection mode (the
-    /// clean-fabric fast path stays byte-identical when this is `None`).
-    pub(crate) xport: Option<Transport>,
     /// Liveness watchdog window: trip when no core makes forward progress
     /// for this much simulated time. Defaults on (1 ms) in fault mode.
     pub(crate) watchdog: Option<Time>,
-    /// Fault spec as installed (plan + transport config), kept so partitions
-    /// can mirror it.
+    /// Fault spec as installed (plan + transport config), kept so the
+    /// sharded engine's lanes can install it too.
     pub(crate) fault_spec: Option<(FaultPlan, TransportConfig)>,
     /// `Some(w)`: run through the sharded conservative-lookahead engine with
     /// `w` workers (from the installed [`RunConfig`] or
     /// [`System::set_sim_threads`]).
     pub(crate) sim_threads: Option<usize>,
-    /// Set on partition `System`s inside a sharded run; `None` on ordinary
-    /// (monolithic) systems.
-    pub(crate) part: Option<Partition>,
+    /// The monolithic engine's lane. A sharded run's lanes hand their NoC
+    /// statistics and observers to it.
+    pub(crate) lane: Lane,
+}
+
+/// One execution lane: the event-loop state a run keeps besides the tiles.
+pub(crate) struct Lane {
+    pub(crate) queue: EventQueue<Event>,
+    pub(crate) noc: Noc,
+    /// Reliable-transport shim, present only in fault-injection mode (the
+    /// clean-fabric fast path stays byte-identical when this is `None`).
+    pub(crate) xport: Option<Transport>,
+    /// The lane's observer set; the system's is armed from the installed
+    /// [`RunConfig`] or programmatically ([`System::tracer_mut`]).
+    pub(crate) tracer: Tracer,
+    /// Scratch buffers reused across events (the hot loop would otherwise
+    /// allocate one effect vector and one action vector per event).
+    scratch_fx: Vec<CoreEffect>,
+    scratch_acts: Vec<FeAction>,
+    scratch_dfx: Vec<DirEffect>,
     /// Per-host count of directory crashes already injected (the `gen`
     /// stamped into [`MsgKind::DirRecover`] notices). Per-host so sharded
     /// and monolithic runs stamp identical generations.
     crash_gens: Vec<u32>,
-    /// Global flat index of this system's first tile. Zero on monolithic
-    /// systems; `host * tiles_per_host` on a sharded partition, whose
-    /// per-tile vectors (`fes`, `engines`, `dir_engines`, `mems`) hold only
-    /// its own host's tiles. Events, traces and engine identities always
-    /// carry *global* tile ids; vector accesses subtract this base.
-    pub(crate) tile_base: u32,
+    /// A sharded lane's host and outboxes; `None` on the system's lane.
+    pub(crate) part: Option<Partition>,
+}
+
+/// What a lane's events run on: a block of the system's tiles, borrowed
+/// with the lane and the shared settings. Events, traces and engine ids
+/// carry global tile ids; slice accesses subtract `base`, the block's first
+/// tile.
+pub(crate) struct View<'a> {
+    cfg: &'a SystemConfig,
+    pub(crate) watchdog: Option<Time>,
+    base: u32,
+    fes: &'a mut [Frontend],
+    engines: &'a mut [AnyCore],
+    dir_engines: &'a mut [AnyDir],
+    mems: &'a mut [Memory],
+    pub(crate) lane: &'a mut Lane,
 }
 
 impl System {
     /// Builds a system running `cfg.protocol`, loading `programs[i]` onto
     /// core `i` (missing entries run empty programs), with the faults,
     /// engine and observers of the installed [`RunConfig`] (none without
-    /// one). Reads no environment.
+    /// one). Reads no environment. Each program moves into its core's
+    /// [`Frontend`], the one copy the run keeps.
     ///
     /// # Panics
     ///
@@ -474,80 +498,32 @@ impl System {
     /// if `cfg` is internally inconsistent.
     pub fn new(cfg: SystemConfig, mut programs: Vec<Program>) -> Self {
         cfg.validate();
-        let tiles = cfg.total_tiles() as usize;
+        let tiles = cfg.total_tiles();
         assert!(
-            programs.len() <= tiles,
+            programs.len() <= tiles as usize,
             "{} programs for {} cores",
             programs.len(),
             tiles
         );
-        programs.resize(tiles, Program::new());
-        let noc = Noc::new(cfg.noc);
-        let mut sys = Self::build(cfg, noc, programs, 0);
-        RunConfig::apply_installed(&mut sys);
-        sys
-    }
-
-    /// Core constructor shared by [`System::new`] (full system, `tile_base`
-    /// 0) and the sharded engine's partition builder, which passes one
-    /// host's programs, moved out of the parent's frontends, plus that
-    /// host's global first-tile index. Each program moves into its core's
-    /// [`Frontend`], the one copy the run keeps. Builds exactly
-    /// `programs.len()` tiles — a partition allocates O(tiles/host) state,
-    /// not O(total tiles) — and applies no [`RunConfig`] (the caller
-    /// mirrors whatever configuration should apply).
-    pub(crate) fn build(
-        cfg: SystemConfig,
-        noc: Noc,
-        programs: Vec<Program>,
-        tile_base: u32,
-    ) -> Self {
-        let count = programs.len();
-        // Steady state holds roughly one in-flight event per tile plus
-        // messages on the wire; start with a few slots per tile so the
-        // calendar never regrows during warm-up.
-        let mut queue = EventQueue::with_capacity(4 * count);
-        let mut fes = Vec::with_capacity(count);
-        let mut engines = Vec::with_capacity(count);
-        for (i, p) in programs.into_iter().enumerate() {
-            let fe = Frontend::new(p, &cfg.costs);
-            let FeAction::StepAt { at, gen } = fe.initial_action();
-            queue.push(
-                at,
-                Event::CoreStep {
-                    core: tile_base + i as u32,
-                    gen,
-                },
-            );
-            fes.push(fe);
-            engines.push(AnyCore::new(CoreId(tile_base + i as u32), &cfg));
-        }
-        let dir_engines: Vec<AnyDir> = (0..count)
-            .map(|i| AnyDir::new(DirId(tile_base + i as u32), &cfg))
+        programs.resize(tiles as usize, Program::new());
+        let fes: Vec<Frontend> = programs
+            .into_iter()
+            .map(|p| Frontend::new(p, &cfg.costs))
             .collect();
-        let mems: Vec<Memory> = (0..count).map(|_| Memory::new()).collect();
-        let crash_gens = vec![0; cfg.noc.hosts as usize];
-        System {
-            noc,
-            cfg,
-            queue,
+        let mut sys = System {
+            engines: (0..tiles).map(|i| AnyCore::new(CoreId(i), &cfg)).collect(),
+            dir_engines: (0..tiles).map(|i| AnyDir::new(DirId(i), &cfg)).collect(),
+            mems: (0..tiles).map(|_| Memory::new()).collect(),
+            lane: Lane::new(Noc::new(cfg.noc), Tracer::disabled(), 0, &fes),
             fes,
-            engines,
-            dir_engines,
-            mems,
+            cfg,
             max_events: 500_000_000,
-            scratch_fx: Vec::new(),
-            scratch_acts: Vec::new(),
-            scratch_dfx: Vec::new(),
-            tracer: Tracer::disabled(),
-            xport: None,
             watchdog: None,
             fault_spec: None,
             sim_threads: None,
-            part: None,
-            crash_gens,
-            tile_base,
-        }
+        };
+        RunConfig::apply_installed(&mut sys);
+        sys
     }
 
     /// Enables fault injection: installs `plan` on the interconnect and the
@@ -555,15 +531,9 @@ impl System {
     /// overridden from the protocol under test — see
     /// [`cord_proto::ProtocolKind::needs_fifo`]). Also arms the liveness
     /// watchdog (1 ms window) unless one was already set.
-    pub fn set_faults(&mut self, plan: FaultPlan, mut xcfg: TransportConfig) {
-        self.fault_spec = Some((plan.clone(), xcfg));
-        xcfg.fifo = self.cfg.protocol.needs_fifo();
-        self.noc.set_faults(Some(plan));
-        self.xport = Some(Transport::new(
-            xcfg,
-            self.cfg.noc.hosts,
-            self.cfg.noc.tiles_per_host,
-        ));
+    pub fn set_faults(&mut self, plan: FaultPlan, xcfg: TransportConfig) {
+        self.lane.set_faults(&self.cfg, plan.clone(), xcfg);
+        self.fault_spec = Some((plan, xcfg));
         if self.watchdog.is_none() {
             self.watchdog = Some(Time::from_us(1000));
         }
@@ -589,13 +559,13 @@ impl System {
     /// resulting series rides [`RunResult::obs`] and is bit-identical at
     /// any worker count. Overrides the installed [`RunConfig`].
     pub fn set_sampling(&mut self, interval: Option<Time>) {
-        self.tracer.set_sampling(interval);
+        self.lane.tracer.set_sampling(interval);
     }
 
     /// Arms (or disarms) the wall-clock self-profiler; the summary rides
     /// [`RunResult::profile`]. Overrides the installed [`RunConfig`].
     pub fn set_profiling(&mut self, on: bool) {
-        self.tracer.set_profiling(on);
+        self.lane.tracer.set_profiling(on);
     }
 
     /// After a failed [`System::try_run`] with the flight recorder armed
@@ -603,7 +573,7 @@ impl System {
     /// of last-seen trace events, for callers that want to render the dump
     /// themselves (the `trace` binary).
     pub fn take_flight_rings(&mut self) -> Vec<(u32, RingSink)> {
-        self.tracer.take_flight_rings()
+        self.lane.tracer.take_flight_rings()
     }
 
     /// Selects the execution engine: `Some(w)` runs through the sharded
@@ -620,13 +590,13 @@ impl System {
     /// [`RunResult::pair_flows`]. Off by default (zero hot-path cost);
     /// identical under both engines at any worker count.
     pub fn set_pair_accounting(&mut self, on: bool) {
-        self.noc.set_pair_accounting(on);
+        self.lane.noc.set_pair_accounting(on);
     }
 
     /// The system's tracer, for installing sinks or a metrics recorder
     /// programmatically (tests, the `trace` binary).
     pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
+        &mut self.lane.tracer
     }
 
     /// Caps the number of processed events (guards against livelock in
@@ -642,8 +612,7 @@ impl System {
 
     /// Reads a committed word from its home directory (test observation).
     pub fn mem_peek(&self, addr: Addr) -> u64 {
-        let d = (self.cfg.map.home_dir(addr) - self.tile_base) as usize;
-        self.mems[d].peek(addr)
+        self.mems[self.cfg.map.home_dir(addr) as usize].peek(addr)
     }
 
     /// Runs to completion.
@@ -670,10 +639,10 @@ impl System {
         // An attached coverage map needs the run parameters some edges are
         // defined against (watchdog near-miss threshold, backoff cap); both
         // engines share this configuration point, and the sharded engine's
-        // merged replay feeds this same parent-held map.
+        // merged replay feeds this same system-held map.
         let watchdog_ns = self.watchdog.map(|w| w.as_ns());
         let backoff_cap = self.fault_spec.as_ref().map(|(_, x)| x.max_backoff_exp);
-        if let Some(cov) = self.tracer.coverage_mut() {
+        if let Some(cov) = self.lane.tracer.coverage_mut() {
             cov.configure(watchdog_ns, backoff_cap);
         }
         let res = if let Some(workers) = self.sim_threads {
@@ -684,31 +653,333 @@ impl System {
         // The one shared exit point for observability outputs: series and
         // profile exports on success, the flight-recorder dump on failure.
         match &res {
-            Ok(r) => self.tracer.write_outputs(
+            Ok(r) => self.lane.tracer.write_outputs(
                 None,
                 r.obs.as_ref(),
                 r.metrics.as_ref(),
                 r.profile.as_ref(),
             ),
             Err(e) => self
+                .lane
                 .tracer
                 .write_outputs(Some(&e.to_string()), None, None, None),
         }
         res
     }
 
-    /// The classic single-queue engine: the partition loop over the whole
-    /// system with an open horizon.
+    /// The classic single-queue engine: the view over every tile, run with
+    /// an open horizon.
     fn run_monolithic(&mut self) -> Result<RunResult, RunError> {
-        self.schedule_crashes(None);
-        let mut st = LoopState::new(self);
-        let verdict = self.run_until(u64::MAX, &mut st, true).err();
-        self.finish_run(Vec::new(), &[st], verdict)
+        self.lane.schedule_crashes(self.fault_spec.as_ref(), None);
+        let max_events = self.max_events;
+        let mut view = self.view();
+        let mut st = LoopState::new(&view);
+        let verdict = view.run_until(u64::MAX, max_events, &mut st, true).err();
+        view.finish(st.drained, verdict.is_none());
+        self.finish_run(Vec::new(), st.drained, st.events, verdict)
+    }
+
+    /// The view over every tile with the system's own lane.
+    fn view(&mut self) -> View<'_> {
+        View {
+            cfg: &self.cfg,
+            watchdog: self.watchdog,
+            base: 0,
+            fes: &mut self.fes,
+            engines: &mut self.engines,
+            dir_engines: &mut self.dir_engines,
+            mems: &mut self.mems,
+            lane: &mut self.lane,
+        }
+    }
+
+    /// One view per host, over the host's block of tiles with
+    /// `lanes[host]`; tiles are numbered host-major, so each block is one
+    /// chunk of every per-tile vector.
+    pub(crate) fn host_views<'a>(&'a mut self, lanes: &'a mut [Lane]) -> Vec<View<'a>> {
+        let tph = self.cfg.noc.tiles_per_host as usize;
+        let (cfg, watchdog) = (&self.cfg, self.watchdog);
+        let blocks = self
+            .fes
+            .chunks_mut(tph)
+            .zip(self.engines.chunks_mut(tph))
+            .zip(self.dir_engines.chunks_mut(tph))
+            .zip(self.mems.chunks_mut(tph));
+        blocks
+            .zip(lanes)
+            .enumerate()
+            .map(|(h, ((((fes, engines), dir_engines), mems), lane))| View {
+                cfg,
+                watchdog,
+                base: (h * tph) as u32,
+                fes,
+                engines,
+                dir_engines,
+                mems,
+                lane,
+            })
+            .collect()
+    }
+
+    /// Tracer-style narrative of a stuck run over the `lanes` that executed
+    /// it: unfinished cores, the earliest in-flight events, and outstanding
+    /// transport state.
+    pub(crate) fn narrate_hang(&self, lanes: &[&Lane]) -> String {
+        let mut s = String::new();
+        for (i, fe) in self.fes.iter().enumerate() {
+            if fe.is_done() {
+                continue;
+            }
+            let _ = writeln!(
+                s,
+                "  core {i}: stuck at pc {} on {:?} (stall: {}, polls: {}, engine quiesced: {}, recovering: {})",
+                fe.pc(),
+                fe.current_op().map(|o| o.mnemonic()),
+                fe.open_stall()
+                    .map_or("none".to_string(), |(c, since)| format!(
+                        "{} since {since}",
+                        c.label()
+                    )),
+                fe.polls(),
+                self.engines[i].quiesced(),
+                self.engines[i].recovering(),
+            );
+        }
+        let mut pending: Vec<(Time, String)> = lanes
+            .iter()
+            .flat_map(|l| l.queue.iter().map(|(t, ev)| (t, Self::describe_event(ev))))
+            .collect();
+        pending.sort();
+        let _ = writeln!(s, "  in-flight events: {}", pending.len());
+        for (t, d) in pending.iter().take(12) {
+            let _ = writeln!(s, "    at {t}: {d}");
+        }
+        if pending.len() > 12 {
+            let _ = writeln!(s, "    … {} more", pending.len() - 12);
+        }
+        let xports: Vec<&Transport> = lanes.iter().filter_map(|l| l.xport.as_ref()).collect();
+        if let Some(x) = xports.first() {
+            let _ = writeln!(
+                s,
+                "  transport: {} unacked ({} retransmits, {} session resets, {} replays, reliable: {})",
+                xports.iter().map(|x| x.unacked_total()).sum::<usize>(),
+                xports.iter().map(|x| x.stats().retransmits).sum::<u64>(),
+                xports.iter().map(|x| x.stats().sessions_reset).sum::<u64>(),
+                xports.iter().map(|x| x.stats().replayed).sum::<u64>(),
+                x.config().reliable,
+            );
+        }
+        if let Some(plan) = self.crash_plan_summary() {
+            s.push_str(&plan);
+        }
+        s
+    }
+
+    /// One-line-per-host summary of the active fault plan's crash schedule,
+    /// for hang/deadlock narratives; `None` when no crash faults are armed.
+    fn crash_plan_summary(&self) -> Option<String> {
+        let (plan, _) = self.fault_spec.as_ref()?;
+        if !plan.has_crashes() {
+            return None;
+        }
+        let hosts = self.cfg.noc.hosts;
+        let evs = plan.crash_events(hosts);
+        let mut per_host: BTreeMap<u32, (u32, u32)> = BTreeMap::new();
+        for e in &evs {
+            let slot = per_host.entry(e.host).or_default();
+            match e.kind {
+                CrashKind::DirReset => slot.0 += 1,
+                CrashKind::XportReset => slot.1 += 1,
+            }
+        }
+        let mut s = format!("  fault plan: {} crash injection(s)\n", evs.len());
+        for (h, (d, x)) in per_host {
+            let _ = writeln!(s, "    host {h}: {d} dir reset(s), {x} transport reset(s)");
+        }
+        for e in evs.iter().take(8) {
+            let _ = writeln!(
+                s,
+                "    at {}: {} reset on host {}",
+                e.at,
+                e.kind.label(),
+                e.host
+            );
+        }
+        if evs.len() > 8 {
+            let _ = writeln!(s, "    … {} more", evs.len() - 8);
+        }
+        Some(s)
+    }
+
+    fn describe_event(ev: &Event) -> String {
+        match ev {
+            Event::Deliver(m) => format!(
+                "deliver {} tile{} -> tile{}",
+                m.kind.name(),
+                m.src.tile_flat(),
+                m.dst.tile_flat()
+            ),
+            Event::DeliverSeq { msg, sess, seq, .. } => format!(
+                "deliver {} sess {sess} seq {seq} tile{} -> tile{}",
+                msg.kind.name(),
+                msg.src.tile_flat(),
+                msg.dst.tile_flat()
+            ),
+            Event::XportAck {
+                src,
+                dst,
+                sess,
+                seq,
+                ..
+            } => {
+                format!("xport ack sess {sess} seq {seq} for tile{src} -> tile{dst}")
+            }
+            Event::XportTimeout { host } => format!("xport timer host {host}"),
+            Event::CoreStep { core, .. } => format!("core {core} step"),
+            Event::CoreWake { core } => format!("core {core} wake"),
+            Event::DirWake { dir } => format!("dir {dir} retry"),
+            Event::PortArrive { bytes, wire } => {
+                format!("port arrival for tile{} ({bytes} B)", wire.dst_flat())
+            }
+            Event::Crash { kind, host } => format!("crash {} host {host}", kind.label()),
+            Event::RecoverCheck { core } => format!("recover check core {core}"),
+        }
+    }
+
+    pub(crate) fn check_finished(&self) -> Result<(), RunError> {
+        // A stuck core is reported before any engine is checked: the
+        // message it lacks may be one a finished core still awaits an
+        // acknowledgment for.
+        if let Some(i) = self.fes.iter().position(|fe| !fe.is_done()) {
+            let fe = &self.fes[i];
+            let mut detail = format!(
+                "deadlock: core {i} stuck at pc {} on {:?} (engine quiesced: {}, recovering: {})",
+                fe.pc(),
+                fe.current_op().map(|o| o.mnemonic()),
+                self.engines[i].quiesced(),
+                self.engines[i].recovering(),
+            );
+            if let Some(plan) = self.crash_plan_summary() {
+                detail.push('\n');
+                detail.push_str(&plan);
+            }
+            return Err(RunError::Deadlock {
+                core: i as u32,
+                detail,
+            });
+        }
+        for (i, engine) in self.engines.iter().enumerate() {
+            debug_assert!(engine.quiesced(), "core {i} engine not quiesced at drain");
+        }
+        Ok(())
+    }
+
+    pub(crate) fn collect(&self, drained: Time, events: u64) -> RunResult {
+        let mut stalls: HashMap<StallCause, Time> = HashMap::new();
+        let mut makespan = Time::ZERO;
+        let mut core_time_total = Time::ZERO;
+        let mut polls = 0;
+        for fe in &self.fes {
+            for (cause, t) in fe.stall_totals() {
+                *stalls.entry(cause).or_insert(Time::ZERO) += t;
+            }
+            if let Some(f) = fe.finish_time() {
+                makespan = makespan.max(f);
+                core_time_total += f;
+            }
+            polls += fe.polls();
+        }
+        let noc = &self.lane.noc;
+        RunResult {
+            makespan,
+            drained,
+            traffic: *noc.stats(),
+            stalls,
+            core_time_total,
+            proc_storages: self.engines.iter().map(|c| c.stats()).collect(),
+            dir_storages: self.dir_engines.iter().map(|d| d.storage()).collect(),
+            regs: self.fes.iter().map(|fe| *fe.regs()).collect(),
+            polls,
+            events,
+            metrics: None,
+            obs: None,
+            profile: None,
+            pair_flows: noc.pair_accounting().then(|| noc.pair_flows_sorted()),
+        }
+    }
+}
+
+impl Lane {
+    /// An idle lane over `noc` and `tracer` whose queue holds the first
+    /// step of each of `fes`, numbered from tile `base`.
+    pub(crate) fn new(noc: Noc, tracer: Tracer, base: u32, fes: &[Frontend]) -> Self {
+        // Steady state holds roughly one in-flight event per tile plus
+        // messages on the wire; start with a few slots per tile so the
+        // calendar never regrows during warm-up.
+        let mut queue = EventQueue::with_capacity(4 * fes.len());
+        for (core, fe) in (base..).zip(fes) {
+            let FeAction::StepAt { at, gen } = fe.initial_action();
+            queue.push(at, Event::CoreStep { core, gen });
+        }
+        Lane {
+            crash_gens: vec![0; noc.config().hosts as usize],
+            queue,
+            noc,
+            xport: None,
+            tracer,
+            scratch_fx: Vec::new(),
+            scratch_acts: Vec::new(),
+            scratch_dfx: Vec::new(),
+            part: None,
+        }
+    }
+
+    /// Installs `plan` on the lane's interconnect and a transport
+    /// configured by `xcfg`, whose `fifo` follows `cfg`'s protocol.
+    pub(crate) fn set_faults(
+        &mut self,
+        cfg: &SystemConfig,
+        plan: FaultPlan,
+        mut xcfg: TransportConfig,
+    ) {
+        xcfg.fifo = cfg.protocol.needs_fifo();
+        self.noc.set_faults(Some(plan));
+        self.xport = Some(Transport::new(xcfg, cfg.noc.hosts, cfg.noc.tiles_per_host));
+    }
+
+    /// Schedules the crash events of the fault `spec` into the queue. The
+    /// monolithic lane passes `None` (all hosts); a sharded lane passes its
+    /// own host, so each crash fires exactly once, in the lane that owns
+    /// the struck node. The schedule is a pure function of the plan and
+    /// host count, so results stay bit-identical at any worker count.
+    pub(crate) fn schedule_crashes(
+        &mut self,
+        spec: Option<&(FaultPlan, TransportConfig)>,
+        only_host: Option<u32>,
+    ) {
+        let Some((plan, _)) = spec.filter(|(plan, _)| plan.has_crashes()) else {
+            return;
+        };
+        let hosts = self.noc.config().hosts;
+        for ev in plan.crash_events(hosts) {
+            // Explicit `crash.K.H=NS` directives may name a host the
+            // topology doesn't have (fuzzed specs do); skip those.
+            if ev.host >= hosts || only_host.is_some_and(|h| h != ev.host) {
+                continue;
+            }
+            self.queue.push(
+                ev.at,
+                Event::Crash {
+                    kind: ev.kind,
+                    host: ev.host,
+                },
+            );
+        }
     }
 
     /// Copies the transport shim's counters into the interconnect's fault
     /// statistics so they ride `RunResult::traffic`.
-    pub(crate) fn mirror_xport_stats(&mut self) {
+    fn mirror_xport_stats(&mut self) {
         if let Some(x) = &self.xport {
             let s = *x.stats();
             let f = self.noc.fault_stats_mut();
@@ -746,188 +1017,6 @@ impl System {
         }
     }
 
-    /// Processes one event (the body of [`System::run_until`], the event
-    /// loop of both engines).
-    pub(crate) fn handle_event(&mut self, now: Time, ev: Event) {
-        match ev {
-            Event::Deliver(msg) => self.dispatch(now, msg),
-            Event::DeliverSeq {
-                msg,
-                sess,
-                seq,
-                attempt,
-            } => self.deliver_tagged(now, msg, sess, seq, attempt),
-            Event::XportAck {
-                src,
-                dst,
-                sess,
-                seq,
-                attempt,
-                dup,
-            } => {
-                if let Some(x) = self.xport.as_mut() {
-                    x.on_ack(src, dst, sess, seq, attempt, dup);
-                }
-            }
-            Event::XportTimeout { host } => self.on_xport_timer(now, host),
-            Event::CoreStep { core, gen } => {
-                self.with_core(
-                    (core - self.tile_base) as usize,
-                    now,
-                    |fe, eng, fx, acts, tr| {
-                        fe.on_step(gen, now, eng, fx, acts, tr);
-                    },
-                );
-            }
-            Event::CoreWake { core } => {
-                self.with_core(
-                    (core - self.tile_base) as usize,
-                    now,
-                    |fe, eng, fx, acts, tr| {
-                        fe.on_wake(now, eng, fx, acts, tr);
-                    },
-                );
-            }
-            Event::DirWake { dir } => {
-                let d = (dir - self.tile_base) as usize;
-                let mut fx = std::mem::take(&mut self.scratch_dfx);
-                fx.clear();
-                {
-                    let mut ctx =
-                        DirCtx::traced(now, &mut self.mems[d], &mut fx, self.tracer.active());
-                    self.dir_engines[d].retry(&mut ctx);
-                }
-                self.apply_dir_effects(d, now, &mut fx);
-                self.scratch_dfx = fx;
-            }
-            Event::PortArrive { bytes, wire } => {
-                let tph = self.cfg.noc.tiles_per_host;
-                let dst = TileId::from_flat(wire.dst_flat(), tph);
-                let at = self.noc.ingress(now, dst, bytes);
-                self.queue.push(at, wire.into_event());
-            }
-            Event::Crash { kind, host } => self.on_crash(now, kind, host),
-            Event::RecoverCheck { core } => self.on_recover_check(now, core),
-        }
-    }
-
-    /// Schedules the fault plan's crash events into the queue. Monolithic
-    /// runs pass `None` (all hosts); sharded partitions pass their own host
-    /// so each crash fires exactly once, in the partition that owns the
-    /// struck node. The schedule is a pure function of the plan and host
-    /// count, so results stay bit-identical at any worker count.
-    pub(crate) fn schedule_crashes(&mut self, only_host: Option<u32>) {
-        let Some((plan, _)) = &self.fault_spec else {
-            return;
-        };
-        if !plan.has_crashes() {
-            return;
-        }
-        let hosts = self.cfg.noc.hosts;
-        for ev in plan.crash_events(hosts) {
-            // Explicit `crash.K.H=NS` directives may name a host the
-            // topology doesn't have (fuzzed specs do); skip those.
-            if ev.host >= hosts || only_host.is_some_and(|h| h != ev.host) {
-                continue;
-            }
-            self.queue.push(
-                ev.at,
-                Event::Crash {
-                    kind: ev.kind,
-                    host: ev.host,
-                },
-            );
-        }
-    }
-
-    /// A crash fault strikes `host`: reset its directory controllers (and
-    /// broadcast the recovery notice) or its transport send channels.
-    fn on_crash(&mut self, now: Time, kind: CrashKind, host: u32) {
-        let tph = self.cfg.noc.tiles_per_host;
-        let (lo, hi) = (host * tph, (host + 1) * tph);
-        match kind {
-            CrashKind::DirReset => {
-                // Reset every directory engine on the host. Engines without
-                // recoverable ordering state (every non-CORD protocol)
-                // report `None`: the crash is traced with zero units wiped
-                // and otherwise ignored — graceful degradation.
-                let mut units = 0u32;
-                let mut struck = Vec::new();
-                for t in lo..hi {
-                    if let Some(u) = self.dir_engines[(t - self.tile_base) as usize].crash_reset() {
-                        units += u;
-                        struck.push(t);
-                    }
-                }
-                self.tracer.emit_with(now, || TraceData::CrashInject {
-                    host,
-                    kind: kind.label(),
-                    units,
-                });
-                let gen = self.crash_gens[host as usize];
-                self.crash_gens[host as usize] += 1;
-                // Tell every core the directory lost its tables; cores with
-                // in-flight epochs enter the conservative recovery fence.
-                // The notices ride the normal (faulty, reliable) fabric.
-                let cores = self.cfg.total_tiles();
-                for d in struck {
-                    for c in 0..cores {
-                        let msg = Msg::new(
-                            NodeRef::Dir(DirId(d)),
-                            NodeRef::Core(CoreId(c)),
-                            MsgKind::DirRecover { gen },
-                        );
-                        self.route(now, msg);
-                    }
-                }
-            }
-            CrashKind::XportReset => {
-                let Some(x) = self.xport.as_mut() else {
-                    self.tracer.emit_with(now, || TraceData::CrashInject {
-                        host,
-                        kind: kind.label(),
-                        units: 0,
-                    });
-                    return;
-                };
-                let mut replays = Vec::new();
-                let arm = x.reset_host(host, now, &mut replays);
-                self.tracer.emit_with(now, || TraceData::CrashInject {
-                    host,
-                    kind: kind.label(),
-                    units: replays.len() as u32,
-                });
-                self.resend(now, replays, arm, host);
-            }
-        }
-    }
-
-    /// Recovery poll: once the recovering core's transport egress has fully
-    /// drained (every outbound message acknowledged), run one
-    /// [`AnyCore::finish_recover`] step; re-poll until recovery completes.
-    fn on_recover_check(&mut self, now: Time, core: u32) {
-        let c = (core - self.tile_base) as usize;
-        if !self.engines[c].recovering() {
-            return;
-        }
-        let drained = self
-            .xport
-            .as_ref()
-            .is_none_or(|x| x.unacked_from(core) == 0);
-        if drained {
-            self.with_core(c, now, |_fe, eng, fx, _acts, tr| {
-                let mut ctx = CoreCtx::traced(now, fx, tr);
-                eng.finish_recover(&mut ctx);
-            });
-        }
-        if self.engines[c].recovering() {
-            self.queue.push(
-                now + self.recover_poll_interval(),
-                Event::RecoverCheck { core },
-            );
-        }
-    }
-
     /// How often a recovering core re-checks its quiesce condition: the
     /// transport RTO (the bound on how long an unacked message stays
     /// outstanding before resend), or 1µs without a transport.
@@ -937,385 +1026,11 @@ impl System {
             .map_or(Time::from_ns(1_000), |x| x.config().rto)
     }
 
-    /// Closes stall episodes still open at `drained` so they are neither
-    /// lost from `RunResult::stalls` nor left dangling in the trace.
-    pub(crate) fn close_stalls(&mut self, drained: Time) {
-        let base = self.tile_base;
-        for (i, fe) in self.fes.iter_mut().enumerate() {
-            if let Some((cause, since)) = fe.open_stall() {
-                self.tracer.emit_with(drained, || TraceData::StallEnd {
-                    core: base + i as u32,
-                    cause: cause.label(),
-                    since,
-                });
-            }
-            fe.flush_stalls(drained);
-        }
-    }
-
-    /// Forward-progress fingerprint for the liveness watchdog: advances
-    /// whenever any core's program counter moves or finishes, or the
-    /// transport retransmits (active loss recovery is progress, not a
-    /// hang). Deliberately excludes poll counts, raw event counts, and
-    /// first transmissions — a consumer spinning on a flag that will never
-    /// be set keeps polling (and sending read requests) forever without
-    /// advancing this fingerprint.
-    pub(crate) fn progress_fingerprint(&self) -> (u64, u64, u64) {
-        let mut pcs = 0u64;
-        let mut done = 0u64;
-        for fe in &self.fes {
-            pcs += fe.pc() as u64;
-            done += fe.is_done() as u64;
-        }
-        let xp = self.xport.as_ref().map_or(0, |x| {
-            let s = x.stats();
-            // Session resets and replays are active crash recovery, not a
-            // hang; counting them keeps the watchdog quiet mid-recovery.
-            s.retransmits + s.sessions_reset + s.replayed
-        });
-        (pcs, done, xp)
-    }
-
-    /// Tracer-style narrative of a stuck run over `parts` (the systems that
-    /// executed events): unfinished cores, the earliest in-flight events,
-    /// and outstanding transport state.
-    pub(crate) fn narrate_hang(parts: &[System]) -> String {
-        let mut s = String::new();
-        for p in parts {
-            for (i, fe) in p.fes.iter().enumerate() {
-                if fe.is_done() {
-                    continue;
-                }
-                let _ = writeln!(
-                    s,
-                    "  core {}: stuck at pc {} on {:?} (stall: {}, polls: {}, engine quiesced: {}, recovering: {})",
-                    p.tile_base + i as u32,
-                    fe.pc(),
-                    fe.current_op().map(|o| o.mnemonic()),
-                    fe.open_stall()
-                        .map_or("none".to_string(), |(c, since)| format!(
-                            "{} since {since}",
-                            c.label()
-                        )),
-                    fe.polls(),
-                    p.engines[i].quiesced(),
-                    p.engines[i].recovering(),
-                );
-            }
-        }
-        let mut pending: Vec<(Time, String)> = parts
-            .iter()
-            .flat_map(|p| p.queue.iter().map(|(t, ev)| (t, Self::describe_event(ev))))
-            .collect();
-        pending.sort();
-        let _ = writeln!(s, "  in-flight events: {}", pending.len());
-        for (t, d) in pending.iter().take(12) {
-            let _ = writeln!(s, "    at {t}: {d}");
-        }
-        if pending.len() > 12 {
-            let _ = writeln!(s, "    … {} more", pending.len() - 12);
-        }
-        let xports: Vec<&Transport> = parts.iter().filter_map(|p| p.xport.as_ref()).collect();
-        if let Some(x) = xports.first() {
-            let _ = writeln!(
-                s,
-                "  transport: {} unacked ({} retransmits, {} session resets, {} replays, reliable: {})",
-                xports.iter().map(|x| x.unacked_total()).sum::<usize>(),
-                xports.iter().map(|x| x.stats().retransmits).sum::<u64>(),
-                xports.iter().map(|x| x.stats().sessions_reset).sum::<u64>(),
-                xports.iter().map(|x| x.stats().replayed).sum::<u64>(),
-                x.config().reliable,
-            );
-        }
-        if let Some(plan) = parts.first().and_then(System::crash_plan_summary) {
-            s.push_str(&plan);
-        }
-        s
-    }
-
-    /// One-line-per-host summary of the active fault plan's crash schedule,
-    /// for hang/deadlock narratives; `None` when no crash faults are armed.
-    pub(crate) fn crash_plan_summary(&self) -> Option<String> {
-        let (plan, _) = self.fault_spec.as_ref()?;
-        if !plan.has_crashes() {
-            return None;
-        }
-        let hosts = self.cfg.noc.hosts;
-        let evs = plan.crash_events(hosts);
-        let mut per_host: std::collections::BTreeMap<u32, (u32, u32)> =
-            std::collections::BTreeMap::new();
-        for e in &evs {
-            let slot = per_host.entry(e.host).or_default();
-            match e.kind {
-                CrashKind::DirReset => slot.0 += 1,
-                CrashKind::XportReset => slot.1 += 1,
-            }
-        }
-        let mut s = format!("  fault plan: {} crash injection(s)\n", evs.len());
-        for (h, (d, x)) in per_host {
-            let _ = writeln!(s, "    host {h}: {d} dir reset(s), {x} transport reset(s)");
-        }
-        for e in evs.iter().take(8) {
-            let _ = writeln!(
-                s,
-                "    at {}: {} reset on host {}",
-                e.at,
-                e.kind.label(),
-                e.host
-            );
-        }
-        if evs.len() > 8 {
-            let _ = writeln!(s, "    … {} more", evs.len() - 8);
-        }
-        Some(s)
-    }
-
-    pub(crate) fn describe_event(ev: &Event) -> String {
-        match ev {
-            Event::Deliver(m) => format!(
-                "deliver {} tile{} -> tile{}",
-                m.kind.name(),
-                m.src.tile_flat(),
-                m.dst.tile_flat()
-            ),
-            Event::DeliverSeq { msg, sess, seq, .. } => format!(
-                "deliver {} sess {sess} seq {seq} tile{} -> tile{}",
-                msg.kind.name(),
-                msg.src.tile_flat(),
-                msg.dst.tile_flat()
-            ),
-            Event::XportAck {
-                src,
-                dst,
-                sess,
-                seq,
-                ..
-            } => {
-                format!("xport ack sess {sess} seq {seq} for tile{src} -> tile{dst}")
-            }
-            Event::XportTimeout { host } => format!("xport timer host {host}"),
-            Event::CoreStep { core, .. } => format!("core {core} step"),
-            Event::CoreWake { core } => format!("core {core} wake"),
-            Event::DirWake { dir } => format!("dir {dir} retry"),
-            Event::PortArrive { bytes, wire } => {
-                format!("port arrival for tile{} ({bytes} B)", wire.dst_flat())
-            }
-            Event::Crash { kind, host } => format!("crash {} host {host}", kind.label()),
-            Event::RecoverCheck { core } => format!("recover check core {core}"),
-        }
-    }
-
-    /// Delivers a protocol message to its destination engine.
-    fn dispatch(&mut self, now: Time, msg: Msg) {
-        self.tracer.emit_with(now, || TraceData::MsgDeliver {
-            src: msg.src.tile_flat(),
-            dst: msg.dst.tile_flat(),
-            kind: msg.kind.name(),
-            class: msg.class().label(),
-            bytes: msg.bytes,
-        });
-        match msg.dst {
-            NodeRef::Core(CoreId(c)) => {
-                // Directory-recovery notices are a runner-level protocol:
-                // they may flip the core into the recovery fence, which the
-                // runner then polls with `RecoverCheck` events.
-                if matches!(msg.kind, MsgKind::DirRecover { .. }) {
-                    return self.on_dir_recover_msg(now, msg);
-                }
-                self.with_core(
-                    (c - self.tile_base) as usize,
-                    now,
-                    |fe, eng, fx, acts, tr| {
-                        let _ = fe;
-                        let _ = acts;
-                        let mut ctx = CoreCtx::traced(now, fx, tr);
-                        eng.on_msg(msg.src, msg.kind, &mut ctx);
-                    },
-                );
-            }
-            NodeRef::Dir(DirId(d)) => self.deliver_dir((d - self.tile_base) as usize, now, msg),
-        }
-    }
-
-    /// Delivers a [`MsgKind::DirRecover`] notice to its core and, if the
-    /// core entered (or re-armed) the recovery fence, arms the quiesce poll.
-    fn on_dir_recover_msg(&mut self, now: Time, msg: Msg) {
-        let NodeRef::Dir(dir) = msg.src else {
-            return;
-        };
-        let NodeRef::Core(CoreId(c)) = msg.dst else {
-            return;
-        };
-        let lc = (c - self.tile_base) as usize;
-        self.with_core(lc, now, |_fe, eng, fx, _acts, tr| {
-            let mut ctx = CoreCtx::traced(now, fx, tr);
-            eng.on_dir_recover(dir, &mut ctx);
-        });
-        if self.engines[lc].recovering() {
-            self.queue.push(
-                now + self.recover_poll_interval(),
-                Event::RecoverCheck { core: c },
-            );
-        }
-    }
-
-    /// Handles the arrival of a transport-tagged message: acknowledge,
-    /// suppress duplicates, and deliver whatever the receiver releases
-    /// (possibly several messages when a FIFO gap fills, or none when the
-    /// arrival is held back).
-    fn deliver_tagged(&mut self, now: Time, msg: Msg, sess: u32, seq: u64, attempt: u32) {
-        let (sflat, dflat) = (msg.src.tile_flat(), msg.dst.tile_flat());
-        let Some(x) = self.xport.as_mut() else {
-            return self.dispatch(now, msg);
-        };
-        let outcome = x.on_deliver(sess, seq, msg);
-        if outcome == RecvOutcome::Duplicate {
-            self.tracer.emit_with(now, || TraceData::XportDupDrop {
-                src: sflat,
-                dst: dflat,
-                seq,
-            });
-        }
-        if outcome == RecvOutcome::Stale {
-            // A retransmission from before a transport reset: reject it
-            // WITHOUT acknowledging — the new session replayed this
-            // sequence, and an ack here could retire the replay first.
-            self.tracer.emit_with(now, || TraceData::XportStaleRej {
-                src: sflat,
-                dst: dflat,
-                seq,
-                sess,
-            });
-            return;
-        }
-        // Always acknowledge — the sender may have missed an earlier ack.
-        // Acks are unsequenced: losing one is recovered by sender
-        // retransmission and receiver re-ack.
-        self.send_wire(
-            now,
-            Wire::XportAck {
-                src: sflat,
-                dst: dflat,
-                sess,
-                seq,
-                attempt,
-                dup: outcome == RecvOutcome::Duplicate,
-            },
-        );
-        if let RecvOutcome::Deliver(msgs) = outcome {
-            for m in msgs {
-                self.dispatch(now, m);
-            }
-        }
-    }
-
-    /// Host `host`'s retransmission timer: retransmit every overdue
-    /// unacknowledged message of the host and re-arm at its next deadline.
-    /// A message that is never acknowledged is retransmitted forever, each
-    /// time up to [`Time::SPEC_MAX`] later, and retransmissions count as
-    /// progress; so the transport gives up once the clock passes its
-    /// midpoint, before the sums formed from `now` can overflow. The lost
-    /// message then deadlocks the run or trips the watchdog.
-    fn on_xport_timer(&mut self, now: Time, host: u32) {
-        let Some(x) = self.xport.as_mut() else {
-            return;
-        };
-        if now.as_ps() > u64::MAX / 2 {
-            return;
-        }
-        let mut resends = Vec::new();
-        let arm = x.on_timer(host, now, &mut resends);
-        for r in &resends {
-            self.tracer.emit_with(now, || TraceData::XportRetrans {
-                src: r.msg.src.tile_flat(),
-                dst: r.msg.dst.tile_flat(),
-                seq: r.seq,
-                attempt: r.attempt,
-            });
-        }
-        self.resend(now, resends, arm, host);
-    }
-
-    /// Sends transport copies (retransmissions or session replays) of
-    /// `host`'s messages at `now`, then arms the host's retransmission
-    /// timer at `arm`, if the transport moved it.
-    fn resend(&mut self, now: Time, copies: Vec<Resend>, arm: Option<Time>, host: u32) {
-        for r in copies {
-            self.send_wire(
-                now,
-                Wire::DeliverSeq {
-                    msg: r.msg,
-                    sess: r.sess,
-                    seq: r.seq,
-                    attempt: r.attempt,
-                },
-            );
-        }
-        self.arm_xport_timer(host, arm);
-    }
-
     /// Schedules `host`'s retransmission timer at `arm`, when the transport
     /// moved it earlier (a timer it superseded fires as a no-op).
     fn arm_xport_timer(&mut self, host: u32, arm: Option<Time>) {
         if let Some(at) = arm {
             self.queue.push(at, Event::XportTimeout { host });
-        }
-    }
-
-    /// Sends one wire through the (possibly faulty) fabric: the one send
-    /// path of both engines, for clean deliveries, transport-tagged
-    /// messages and transport acks alike. [`Noc::transmit_egress`] decides
-    /// the copy's fate, the injected fault and the departure are traced,
-    /// and each surviving copy lands via [`System::land`].
-    fn send_wire(&mut self, depart: Time, wire: Wire) {
-        let tph = self.cfg.noc.tiles_per_host;
-        let src = TileId::from_flat(wire.src_flat(), tph);
-        let dst = TileId::from_flat(wire.dst_flat(), tph);
-        let (bytes, class) = match &wire {
-            Wire::Deliver(m) | Wire::DeliverSeq { msg: m, .. } => (m.bytes, m.class()),
-            Wire::XportAck { .. } => (ACK_BYTES, MsgClass::Ack),
-        };
-        let d = self.noc.transmit_egress(depart, src, dst, bytes, class);
-        let fault = match d {
-            EgressDelivery::Deliver { faulted, .. } if faulted > Time::ZERO => {
-                Some(("delay", faulted))
-            }
-            EgressDelivery::Deliver { .. } => None,
-            EgressDelivery::Drop => Some(("drop", Time::ZERO)),
-            EgressDelivery::Duplicate { first, second } => Some(("dup", second - first)),
-        };
-        if let Some((fault, extra)) = fault {
-            self.tracer.emit_with(depart, || TraceData::FaultInject {
-                src: src.flat(tph),
-                dst: dst.flat(tph),
-                class: class.label(),
-                fault,
-                extra,
-            });
-        }
-        match d {
-            EgressDelivery::Deliver { reach, faulted } => {
-                let kind = match &wire {
-                    Wire::Deliver(m) | Wire::DeliverSeq { msg: m, .. } => Some(m.kind.name()),
-                    Wire::XportAck { .. } => None,
-                };
-                let at = self.land(reach, Some(faulted), src.host, dst, bytes, wire);
-                if let Some(kind) = kind {
-                    self.tracer.emit_with(depart, || TraceData::MsgSend {
-                        src: src.flat(tph),
-                        dst: dst.flat(tph),
-                        kind,
-                        class: class.label(),
-                        bytes,
-                        arrive: at,
-                    });
-                }
-            }
-            EgressDelivery::Drop => {}
-            EgressDelivery::Duplicate { first, second } => {
-                self.land(first, None, src.host, dst, bytes, wire.clone());
-                self.land(second, None, src.host, dst, bytes, wire);
-            }
         }
     }
 
@@ -1332,8 +1047,8 @@ impl System {
     /// A duplicated pair has no one clean
     /// arrival (its second copy left later), so each copy lands through a
     /// local [`Event::PortArrive`] and pays ingress on arrival. A sharded
-    /// cross-host copy joins the outbox for the destination partition,
-    /// which pays ingress on arrival. Anything else was fully delivered by
+    /// cross-host copy joins the outbox for the destination lane, which
+    /// pays ingress on arrival. Anything else was fully delivered by
     /// egress (it models the whole mesh path) and goes straight into the
     /// local queue.
     fn land(
@@ -1368,12 +1083,401 @@ impl System {
             }
         }
     }
+}
 
-    /// Runs a closure against core `i`'s frontend+engine, then applies all
-    /// produced effects and scheduling actions.
+impl View<'_> {
+    /// Processes one event (the body of [`View::run_until`], the event
+    /// loop of both engines).
+    pub(crate) fn handle_event(&mut self, now: Time, ev: Event) {
+        match ev {
+            Event::Deliver(msg) => self.dispatch(now, msg),
+            Event::DeliverSeq {
+                msg,
+                sess,
+                seq,
+                attempt,
+            } => self.deliver_tagged(now, msg, sess, seq, attempt),
+            Event::XportAck {
+                src,
+                dst,
+                sess,
+                seq,
+                attempt,
+                dup,
+            } => {
+                if let Some(x) = self.lane.xport.as_mut() {
+                    x.on_ack(src, dst, sess, seq, attempt, dup);
+                }
+            }
+            Event::XportTimeout { host } => self.on_xport_timer(now, host),
+            Event::CoreStep { core, gen } => {
+                self.with_core(core, now, |fe, eng, fx, acts, tr| {
+                    fe.on_step(gen, now, eng, fx, acts, tr);
+                });
+            }
+            Event::CoreWake { core } => {
+                self.with_core(core, now, |fe, eng, fx, acts, tr| {
+                    fe.on_wake(now, eng, fx, acts, tr);
+                });
+            }
+            Event::DirWake { dir } => self.with_dir(dir, now, |eng, ctx| eng.retry(ctx)),
+            Event::PortArrive { bytes, wire } => {
+                let tph = self.cfg.noc.tiles_per_host;
+                let dst = TileId::from_flat(wire.dst_flat(), tph);
+                let at = self.lane.noc.ingress(now, dst, bytes);
+                self.lane.queue.push(at, wire.into_event());
+            }
+            Event::Crash { kind, host } => self.on_crash(now, kind, host),
+            Event::RecoverCheck { core } => self.on_recover_check(now, core),
+        }
+    }
+
+    /// A crash fault strikes `host`: reset its directory controllers (and
+    /// broadcast the recovery notice) or its transport send channels.
+    fn on_crash(&mut self, now: Time, kind: CrashKind, host: u32) {
+        let tph = self.cfg.noc.tiles_per_host;
+        let (lo, hi) = (host * tph, (host + 1) * tph);
+        match kind {
+            CrashKind::DirReset => {
+                // Reset every directory engine on the host. Engines without
+                // recoverable ordering state (every non-CORD protocol)
+                // report `None`: the crash is traced with zero units wiped
+                // and otherwise ignored — graceful degradation.
+                let mut units = 0u32;
+                let mut struck = Vec::new();
+                for t in lo..hi {
+                    if let Some(u) = self.dir_engines[(t - self.base) as usize].crash_reset() {
+                        units += u;
+                        struck.push(t);
+                    }
+                }
+                self.lane.tracer.emit_with(now, || TraceData::CrashInject {
+                    host,
+                    kind: kind.label(),
+                    units,
+                });
+                let gen = self.lane.crash_gens[host as usize];
+                self.lane.crash_gens[host as usize] += 1;
+                // Tell every core the directory lost its tables; cores with
+                // in-flight epochs enter the conservative recovery fence.
+                // The notices ride the normal (faulty, reliable) fabric.
+                let cores = self.cfg.total_tiles();
+                for d in struck {
+                    for c in 0..cores {
+                        let msg = Msg::new(
+                            NodeRef::Dir(DirId(d)),
+                            NodeRef::Core(CoreId(c)),
+                            MsgKind::DirRecover { gen },
+                        );
+                        self.route(now, msg);
+                    }
+                }
+            }
+            CrashKind::XportReset => {
+                let Some(x) = self.lane.xport.as_mut() else {
+                    self.lane.tracer.emit_with(now, || TraceData::CrashInject {
+                        host,
+                        kind: kind.label(),
+                        units: 0,
+                    });
+                    return;
+                };
+                let mut replays = Vec::new();
+                let arm = x.reset_host(host, now, &mut replays);
+                self.lane.tracer.emit_with(now, || TraceData::CrashInject {
+                    host,
+                    kind: kind.label(),
+                    units: replays.len() as u32,
+                });
+                self.resend(now, replays, arm, host);
+            }
+        }
+    }
+
+    /// Recovery poll: once the recovering core's transport egress has fully
+    /// drained (every outbound message acknowledged), run one
+    /// [`AnyCore::finish_recover`] step; re-poll until recovery completes.
+    fn on_recover_check(&mut self, now: Time, core: u32) {
+        if !self.engines[(core - self.base) as usize].recovering() {
+            return;
+        }
+        let drained = self
+            .lane
+            .xport
+            .as_ref()
+            .is_none_or(|x| x.unacked_from(core) == 0);
+        if drained {
+            self.with_core(core, now, |_fe, eng, fx, _acts, tr| {
+                let mut ctx = CoreCtx::traced(now, fx, tr);
+                eng.finish_recover(&mut ctx);
+            });
+        }
+        self.poll_recovery(now, core);
+    }
+
+    /// Arms `core`'s next quiesce poll while it is inside the recovery
+    /// fence.
+    fn poll_recovery(&mut self, now: Time, core: u32) {
+        if self.engines[(core - self.base) as usize].recovering() {
+            let at = now + self.lane.recover_poll_interval();
+            self.lane.queue.push(at, Event::RecoverCheck { core });
+        }
+    }
+
+    /// Ends the lane's share of a run that drained at `drained`: on
+    /// success, closes the stall episodes still open, so they are neither
+    /// lost from `RunResult::stalls` nor left dangling in the trace (only
+    /// on success, so failure traces stay comparable across engines); then
+    /// mirrors the transport's counters into the NoC's.
+    pub(crate) fn finish(&mut self, drained: Time, ok: bool) {
+        if ok {
+            debug_assert!(self.lane.queue.peek_time().is_none(), "events after drain");
+            for (core, fe) in (self.base..).zip(self.fes.iter_mut()) {
+                if let Some((cause, since)) = fe.open_stall() {
+                    self.lane.tracer.emit_with(drained, || TraceData::StallEnd {
+                        core,
+                        cause: cause.label(),
+                        since,
+                    });
+                }
+                fe.flush_stalls(drained);
+            }
+        }
+        self.lane.mirror_xport_stats();
+    }
+
+    /// Forward-progress fingerprint for the liveness watchdog: advances
+    /// whenever any core's program counter moves or finishes, or the
+    /// transport retransmits (active loss recovery is progress, not a
+    /// hang). Deliberately excludes poll counts, raw event counts, and
+    /// first transmissions — a consumer spinning on a flag that will never
+    /// be set keeps polling (and sending read requests) forever without
+    /// advancing this fingerprint.
+    pub(crate) fn progress_fingerprint(&self) -> (u64, u64, u64) {
+        let mut pcs = 0u64;
+        let mut done = 0u64;
+        for fe in self.fes.iter() {
+            pcs += fe.pc() as u64;
+            done += fe.is_done() as u64;
+        }
+        let xp = self.lane.xport.as_ref().map_or(0, |x| {
+            let s = x.stats();
+            // Session resets and replays are active crash recovery, not a
+            // hang; counting them keeps the watchdog quiet mid-recovery.
+            s.retransmits + s.sessions_reset + s.replayed
+        });
+        (pcs, done, xp)
+    }
+
+    /// Delivers a protocol message to its destination engine.
+    fn dispatch(&mut self, now: Time, msg: Msg) {
+        self.lane.tracer.emit_with(now, || TraceData::MsgDeliver {
+            src: msg.src.tile_flat(),
+            dst: msg.dst.tile_flat(),
+            kind: msg.kind.name(),
+            class: msg.class().label(),
+            bytes: msg.bytes,
+        });
+        match msg.dst {
+            NodeRef::Core(CoreId(c)) => {
+                // Directory-recovery notices are a runner-level protocol:
+                // they may flip the core into the recovery fence, which the
+                // runner then polls with `RecoverCheck` events.
+                if matches!(msg.kind, MsgKind::DirRecover { .. }) {
+                    return self.on_dir_recover_msg(now, msg);
+                }
+                self.with_core(c, now, |_fe, eng, fx, _acts, tr| {
+                    let mut ctx = CoreCtx::traced(now, fx, tr);
+                    eng.on_msg(msg.src, msg.kind, &mut ctx);
+                });
+            }
+            NodeRef::Dir(DirId(d)) => self.with_dir(d, now, |eng, ctx| eng.on_msg(msg, ctx)),
+        }
+    }
+
+    /// Delivers a [`MsgKind::DirRecover`] notice to its core and, if the
+    /// core entered (or re-armed) the recovery fence, arms the quiesce poll.
+    fn on_dir_recover_msg(&mut self, now: Time, msg: Msg) {
+        let NodeRef::Dir(dir) = msg.src else {
+            return;
+        };
+        let NodeRef::Core(CoreId(c)) = msg.dst else {
+            return;
+        };
+        self.with_core(c, now, |_fe, eng, fx, _acts, tr| {
+            let mut ctx = CoreCtx::traced(now, fx, tr);
+            eng.on_dir_recover(dir, &mut ctx);
+        });
+        self.poll_recovery(now, c);
+    }
+
+    /// Handles the arrival of a transport-tagged message: acknowledge,
+    /// suppress duplicates, and deliver whatever the receiver releases
+    /// (possibly several messages when a FIFO gap fills, or none when the
+    /// arrival is held back).
+    fn deliver_tagged(&mut self, now: Time, msg: Msg, sess: u32, seq: u64, attempt: u32) {
+        let (sflat, dflat) = (msg.src.tile_flat(), msg.dst.tile_flat());
+        let Some(x) = self.lane.xport.as_mut() else {
+            return self.dispatch(now, msg);
+        };
+        let outcome = x.on_deliver(sess, seq, msg);
+        if outcome == RecvOutcome::Duplicate {
+            self.lane.tracer.emit_with(now, || TraceData::XportDupDrop {
+                src: sflat,
+                dst: dflat,
+                seq,
+            });
+        }
+        if outcome == RecvOutcome::Stale {
+            // A retransmission from before a transport reset: reject it
+            // WITHOUT acknowledging — the new session replayed this
+            // sequence, and an ack here could retire the replay first.
+            self.lane
+                .tracer
+                .emit_with(now, || TraceData::XportStaleRej {
+                    src: sflat,
+                    dst: dflat,
+                    seq,
+                    sess,
+                });
+            return;
+        }
+        // Always acknowledge — the sender may have missed an earlier ack.
+        // Acks are unsequenced: losing one is recovered by sender
+        // retransmission and receiver re-ack.
+        self.send_wire(
+            now,
+            Wire::XportAck {
+                src: sflat,
+                dst: dflat,
+                sess,
+                seq,
+                attempt,
+                dup: outcome == RecvOutcome::Duplicate,
+            },
+        );
+        if let RecvOutcome::Deliver(msgs) = outcome {
+            for m in msgs {
+                self.dispatch(now, m);
+            }
+        }
+    }
+
+    /// Host `host`'s retransmission timer: retransmit every overdue
+    /// unacknowledged message of the host and re-arm at its next deadline.
+    /// A message that is never acknowledged is retransmitted forever, each
+    /// time up to [`Time::SPEC_MAX`] later, and retransmissions count as
+    /// progress; so the transport gives up once the clock passes its
+    /// midpoint, before the sums formed from `now` can overflow. The lost
+    /// message then deadlocks the run or trips the watchdog.
+    fn on_xport_timer(&mut self, now: Time, host: u32) {
+        let Some(x) = self.lane.xport.as_mut() else {
+            return;
+        };
+        if now.as_ps() > u64::MAX / 2 {
+            return;
+        }
+        let mut resends = Vec::new();
+        let arm = x.on_timer(host, now, &mut resends);
+        for r in &resends {
+            self.lane.tracer.emit_with(now, || TraceData::XportRetrans {
+                src: r.msg.src.tile_flat(),
+                dst: r.msg.dst.tile_flat(),
+                seq: r.seq,
+                attempt: r.attempt,
+            });
+        }
+        self.resend(now, resends, arm, host);
+    }
+
+    /// Sends transport copies (retransmissions or session replays) of
+    /// `host`'s messages at `now`, then arms the host's retransmission
+    /// timer at `arm`, if the transport moved it.
+    fn resend(&mut self, now: Time, copies: Vec<Resend>, arm: Option<Time>, host: u32) {
+        for r in copies {
+            self.send_wire(
+                now,
+                Wire::DeliverSeq {
+                    msg: r.msg,
+                    sess: r.sess,
+                    seq: r.seq,
+                    attempt: r.attempt,
+                },
+            );
+        }
+        self.lane.arm_xport_timer(host, arm);
+    }
+
+    /// Sends one wire through the (possibly faulty) fabric: the one send
+    /// path of both engines, for clean deliveries, transport-tagged
+    /// messages and transport acks alike. [`Noc::transmit_egress`] decides
+    /// the copy's fate, the injected fault and the departure are traced,
+    /// and each surviving copy lands via [`View::land`].
+    fn send_wire(&mut self, depart: Time, wire: Wire) {
+        let tph = self.cfg.noc.tiles_per_host;
+        let src = TileId::from_flat(wire.src_flat(), tph);
+        let dst = TileId::from_flat(wire.dst_flat(), tph);
+        let (bytes, class) = match &wire {
+            Wire::Deliver(m) | Wire::DeliverSeq { msg: m, .. } => (m.bytes, m.class()),
+            Wire::XportAck { .. } => (ACK_BYTES, MsgClass::Ack),
+        };
+        let d = self
+            .lane
+            .noc
+            .transmit_egress(depart, src, dst, bytes, class);
+        let fault = match d {
+            EgressDelivery::Deliver { faulted, .. } if faulted > Time::ZERO => {
+                Some(("delay", faulted))
+            }
+            EgressDelivery::Deliver { .. } => None,
+            EgressDelivery::Drop => Some(("drop", Time::ZERO)),
+            EgressDelivery::Duplicate { first, second } => Some(("dup", second - first)),
+        };
+        if let Some((fault, extra)) = fault {
+            self.lane
+                .tracer
+                .emit_with(depart, || TraceData::FaultInject {
+                    src: src.flat(tph),
+                    dst: dst.flat(tph),
+                    class: class.label(),
+                    fault,
+                    extra,
+                });
+        }
+        match d {
+            EgressDelivery::Deliver { reach, faulted } => {
+                let kind = match &wire {
+                    Wire::Deliver(m) | Wire::DeliverSeq { msg: m, .. } => Some(m.kind.name()),
+                    Wire::XportAck { .. } => None,
+                };
+                let at = self
+                    .lane
+                    .land(reach, Some(faulted), src.host, dst, bytes, wire);
+                if let Some(kind) = kind {
+                    self.lane.tracer.emit_with(depart, || TraceData::MsgSend {
+                        src: src.flat(tph),
+                        dst: dst.flat(tph),
+                        kind,
+                        class: class.label(),
+                        bytes,
+                        arrive: at,
+                    });
+                }
+            }
+            EgressDelivery::Drop => {}
+            EgressDelivery::Duplicate { first, second } => {
+                self.lane
+                    .land(first, None, src.host, dst, bytes, wire.clone());
+                self.lane.land(second, None, src.host, dst, bytes, wire);
+            }
+        }
+    }
+
+    /// Runs a closure against core `gid`'s frontend+engine, then applies
+    /// all produced effects and scheduling actions.
     fn with_core(
         &mut self,
-        i: usize,
+        gid: u32,
         now: Time,
         f: impl FnOnce(
             &mut Frontend,
@@ -1385,13 +1489,13 @@ impl System {
     ) {
         // Reuse the scratch vectors (taken, not borrowed, so the apply loop
         // below can still call &mut self methods).
-        let gid = self.tile_base + i as u32;
-        let mut fx = std::mem::take(&mut self.scratch_fx);
-        let mut acts = std::mem::take(&mut self.scratch_acts);
+        let i = (gid - self.base) as usize;
+        let mut fx = std::mem::take(&mut self.lane.scratch_fx);
+        let mut acts = std::mem::take(&mut self.lane.scratch_acts);
         fx.clear();
         acts.clear();
         {
-            let traced = self.tracer.enabled();
+            let traced = self.lane.tracer.enabled();
             let before = if traced {
                 self.fes[i].open_stall()
             } else {
@@ -1402,7 +1506,7 @@ impl System {
                 &mut self.engines[i],
                 &mut fx,
                 &mut acts,
-                self.tracer.active(),
+                self.lane.tracer.active(),
             );
             if traced {
                 // Frontend stall transitions are observable as open-stall
@@ -1411,7 +1515,7 @@ impl System {
                 let after = self.fes[i].open_stall();
                 if before != after {
                     if let Some((cause, since)) = before {
-                        self.tracer.emit(
+                        self.lane.tracer.emit(
                             now,
                             TraceData::StallEnd {
                                 core: gid,
@@ -1421,7 +1525,7 @@ impl System {
                         );
                     }
                     if let Some((cause, since)) = after {
-                        self.tracer.emit(
+                        self.lane.tracer.emit(
                             since,
                             TraceData::StallBegin {
                                 core: gid,
@@ -1439,7 +1543,9 @@ impl System {
             match fx[k].clone() {
                 CoreEffect::Send { msg, at } => self.route(at.max(now), msg),
                 CoreEffect::Wake(t) => {
-                    self.queue.push(t.max(now), Event::CoreWake { core: gid });
+                    self.lane
+                        .queue
+                        .push(t.max(now), Event::CoreWake { core: gid });
                 }
                 CoreEffect::LoadDone { value } => {
                     self.fes[i].on_load_done(value, now, &mut acts);
@@ -1451,43 +1557,37 @@ impl System {
             k += 1;
         }
         for FeAction::StepAt { at, gen } in acts.drain(..) {
-            self.queue
+            self.lane
+                .queue
                 .push(at.max(now), Event::CoreStep { core: gid, gen });
         }
-        self.scratch_fx = fx;
-        self.scratch_acts = acts;
+        self.lane.scratch_fx = fx;
+        self.lane.scratch_acts = acts;
     }
 
-    fn deliver_dir(&mut self, d: usize, now: Time, msg: Msg) {
-        let mut fx = std::mem::take(&mut self.scratch_dfx);
+    /// Runs a closure against directory `dir`'s engine and memory, then
+    /// applies the effects it produced.
+    fn with_dir(&mut self, dir: u32, now: Time, f: impl FnOnce(&mut AnyDir, &mut DirCtx)) {
+        let d = (dir - self.base) as usize;
+        let mut fx = std::mem::take(&mut self.lane.scratch_dfx);
         fx.clear();
         {
-            let mut ctx = DirCtx::traced(now, &mut self.mems[d], &mut fx, self.tracer.active());
-            self.dir_engines[d].on_msg(msg, &mut ctx);
+            let mut ctx =
+                DirCtx::traced(now, &mut self.mems[d], &mut fx, self.lane.tracer.active());
+            f(&mut self.dir_engines[d], &mut ctx);
         }
-        self.apply_dir_effects(d, now, &mut fx);
-        self.scratch_dfx = fx;
-    }
-
-    fn apply_dir_effects(&mut self, d: usize, now: Time, fx: &mut Vec<DirEffect>) {
         for e in fx.drain(..) {
             match e {
                 DirEffect::Send { msg, at } => self.route(at.max(now), msg),
-                DirEffect::Wake(t) => {
-                    self.queue.push(
-                        t.max(now),
-                        Event::DirWake {
-                            dir: self.tile_base + d as u32,
-                        },
-                    );
-                }
+                DirEffect::Wake(t) => self.lane.queue.push(t.max(now), Event::DirWake { dir }),
             }
         }
+        self.lane.scratch_dfx = fx;
     }
 
     /// Routes a message through the interconnect and schedules its delivery.
     fn route(&mut self, depart: Time, mut msg: Msg) {
-        if let Some(x) = self.xport.as_mut() {
+        if let Some(x) = self.lane.xport.as_mut() {
             // Fault-injection mode: tag with a sequence number and retain a
             // retransmission copy.
             let (sess, seq, arm) = x.wrap(depart, &mut msg);
@@ -1499,72 +1599,10 @@ impl System {
                 attempt: 1,
             };
             self.send_wire(depart, wire);
-            self.arm_xport_timer(host, arm);
+            self.lane.arm_xport_timer(host, arm);
             return;
         }
         self.send_wire(depart, Wire::Deliver(msg));
-    }
-
-    pub(crate) fn check_finished(&self) -> Result<(), RunError> {
-        // A stuck core is reported before any engine is checked: the
-        // message it lacks may be one a finished core still awaits an
-        // acknowledgment for.
-        if let Some(i) = self.fes.iter().position(|fe| !fe.is_done()) {
-            let fe = &self.fes[i];
-            let gid = self.tile_base + i as u32;
-            let mut detail = format!(
-                "deadlock: core {gid} stuck at pc {} on {:?} (engine quiesced: {}, recovering: {})",
-                fe.pc(),
-                fe.current_op().map(|o| o.mnemonic()),
-                self.engines[i].quiesced(),
-                self.engines[i].recovering(),
-            );
-            if let Some(plan) = self.crash_plan_summary() {
-                detail.push('\n');
-                detail.push_str(&plan);
-            }
-            return Err(RunError::Deadlock { core: gid, detail });
-        }
-        for (i, engine) in self.engines.iter().enumerate() {
-            debug_assert!(engine.quiesced(), "core {i} engine not quiesced at drain");
-        }
-        Ok(())
-    }
-
-    pub(crate) fn collect(&self, drained: Time, events: u64) -> RunResult {
-        let mut stalls: HashMap<StallCause, Time> = HashMap::new();
-        let mut makespan = Time::ZERO;
-        let mut core_time_total = Time::ZERO;
-        let mut polls = 0;
-        for fe in &self.fes {
-            for (cause, t) in fe.stall_totals() {
-                *stalls.entry(cause).or_insert(Time::ZERO) += t;
-            }
-            if let Some(f) = fe.finish_time() {
-                makespan = makespan.max(f);
-                core_time_total += f;
-            }
-            polls += fe.polls();
-        }
-        RunResult {
-            makespan,
-            drained,
-            traffic: *self.noc.stats(),
-            stalls,
-            core_time_total,
-            proc_storages: self.engines.iter().map(|c| c.stats()).collect(),
-            dir_storages: self.dir_engines.iter().map(|d| d.storage()).collect(),
-            regs: self.fes.iter().map(|fe| *fe.regs()).collect(),
-            polls,
-            events,
-            metrics: None,
-            obs: None,
-            profile: None,
-            pair_flows: self
-                .noc
-                .pair_accounting()
-                .then(|| self.noc.pair_flows_sorted()),
-        }
     }
 }
 
@@ -1907,7 +1945,7 @@ mod tests {
         sys.set_fault_spec("seed=5; jitter=300").unwrap();
         let mp = sys.run();
         assert_eq!(mp.regs[8][0], 1);
-        let held = sys.xport.as_ref().map_or(0, |x| x.stats().held_back);
+        let held = sys.lane.xport.as_ref().map_or(0, |x| x.stats().held_back);
         assert!(held > 0, "jitter reordered no arrivals");
     }
 }
